@@ -5,8 +5,10 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"frontsim/internal/core"
 	"frontsim/internal/runner"
@@ -227,5 +229,54 @@ func TestLongTierSampledRun(t *testing.T) {
 	covered := sp.FunctionalInstrs + sp.WarmDetailInstrs + res.Stats.Instructions + sp.DrainInstrs
 	if covered < longTierTestInstrs || covered > longTierTestInstrs+2*p.Sampling.IntervalInstrs {
 		t.Errorf("coverage bookkeeping %d instrs does not account for the %d budget", covered, longTierTestInstrs)
+	}
+}
+
+// TestSampledMatrixSingleProc runs the pinned sampled mode's cells with
+// one P and with the default count. Functional warming runs as two
+// goroutines; with one P they interleave through the chunk hand-off
+// instead of overlapping, and every cell must come out byte-identical
+// (and must come out at all: a hand-off that needs both stages running at
+// once would deadlock here).
+func TestSampledMatrixSingleProc(t *testing.T) {
+	spec, ok := workload.Lookup(digestWorkloads[0])
+	if !ok {
+		t.Fatal("workload missing")
+	}
+	p := digestModes()[1].p
+	run := func(procs int) *Matrix {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		done := make(chan *Matrix, 1)
+		go func() {
+			m, err := RunMatrix(spec, 1, p)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- m
+		}()
+		select {
+		case m := <-done:
+			return m
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("sampled matrix with GOMAXPROCS(%d) did not finish", procs)
+			return nil
+		}
+	}
+	one, all := run(1), run(runtime.GOMAXPROCS(0))
+	if one == nil || all == nil {
+		t.FailNow()
+	}
+	for id, label := range SeriesLabels() {
+		a, err := one.seriesPtr(seriesID(id)).CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := all.seriesPtr(seriesID(id)).CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: GOMAXPROCS(1) stats differ:\n %s\n %s", label, a, b)
+		}
 	}
 }

@@ -199,6 +199,10 @@ type Frontend struct {
 
 	sink obs.Sink // nil when observation is off
 
+	// warm is the two-stage functional-warming pipeline, built by the
+	// first WarmFunctional call (warm.go).
+	warm *warmPipeline
+
 	stats Stats
 }
 

@@ -85,7 +85,8 @@ var tTable = [31]float64{0,
 
 // tQuantile975 returns the 97.5th-percentile Student-t quantile for df
 // degrees of freedom, conservative (rounding toward the wider interval)
-// between tabulated points.
+// between tabulated points: each band past 30 returns the quantile at its
+// lower edge, which the quantiles inside the band never exceed.
 func tQuantile975(df int64) float64 {
 	switch {
 	case df <= 0:
@@ -93,12 +94,12 @@ func tQuantile975(df int64) float64 {
 	case df <= 30:
 		return tTable[df]
 	case df <= 40:
-		return 2.021
+		return 2.042 // df 30
 	case df <= 60:
-		return 2.000
+		return 2.021 // df 40
 	case df <= 120:
-		return 1.980
+		return 2.000 // df 60
 	default:
-		return 1.960
+		return 1.980 // df 120
 	}
 }

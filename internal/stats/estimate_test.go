@@ -80,6 +80,21 @@ func TestTQuantileMonotone(t *testing.T) {
 	}
 }
 
+// TestTQuantileConservativeBetweenTablePoints checks the quantile just past
+// each tabulated point against the exact value there: an interpolation
+// band must never return a quantile narrower than the true one at any df
+// it covers, and the first df of a band has the widest true quantile.
+func TestTQuantileConservativeBetweenTablePoints(t *testing.T) {
+	for _, c := range []struct {
+		df    int64
+		exact float64
+	}{{31, 2.0395}, {41, 2.0195}, {61, 1.9996}, {121, 1.9798}} {
+		if q := tQuantile975(c.df); q < c.exact {
+			t.Errorf("df %d: quantile %v is narrower than the exact %v", c.df, q, c.exact)
+		}
+	}
+}
+
 // TestEstimateJSONRoundTrip pins the canonical-serialization property the
 // run cache depends on: encode/decode reproduces the exact struct.
 func TestEstimateJSONRoundTrip(t *testing.T) {
