@@ -353,34 +353,6 @@ func BenchmarkSuiteColdCache(b *testing.B) {
 	}
 }
 
-// BenchmarkSuiteBatch measures the cold suite in both execution modes —
-// lockstep batching (the default; one stream generation + decode per
-// workload program, fanned out to every cold cell) versus the historical
-// per-cell jobs (one executor per cell). Results and cache contents are
-// byte-identical between modes (TestBatchEquivalence, make batch-smoke);
-// only wall-clock differs. The ratio is the number quoted in
-// EXPERIMENTS.md §timing.
-func BenchmarkSuiteBatch(b *testing.B) {
-	run := func(b *testing.B, batch bool) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			c, err := runner.OpenCache(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			p := benchParams()
-			p.Cache = c
-			p.Batch = batch
-			if _, err := experiment.RunSuite(benchSpecs(), p, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("batched", func(b *testing.B) { run(b, true) })
-	b.Run("per-cell", func(b *testing.B) { run(b, false) })
-}
-
 // BenchmarkSuiteWarmCache primes the cache once outside the timer, then
 // measures fully-warm regenerations — the fast-iteration number quoted in
 // EXPERIMENTS.md. Compare against BenchmarkSuiteColdCache.

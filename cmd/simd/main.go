@@ -4,18 +4,10 @@
 // with request coalescing, bounded admission (429 + Retry-After under
 // overload), end-to-end cancellation, and graceful SIGTERM drain.
 //
-// With -peers/-self the node joins a cluster: the cell address space is
-// consistent-hash sharded across the peer set, a local cache miss probes
-// the cell's home node before executing, and the peer's bytes are
-// written back into the local cache — one execution per fingerprint
-// globally. SIGHUP (or POST /cluster/reload) re-reads the peers file;
-// the new map applies to future requests only.
-//
 // Usage:
 //
 //	simd -addr :8091 -cache results/cache
 //	simd -max-concurrent 4 -queue 32 -drain-timeout 30s
-//	simd -addr :8091 -peers peers.txt -self node-a
 //
 // Endpoints:
 //
@@ -24,9 +16,6 @@
 //	GET  /v1/workloads     the suite's workloads and series
 //	GET  /healthz          ok | draining
 //	GET  /metrics          Prometheus text (request + run-cache counters)
-//	GET  /metrics.json     the same counters as a canonical-JSON metric set
-//	GET  /cluster/metrics  cluster-wide rollup of every peer's counters
-//	POST /cluster/reload   re-read the peers file (SIGHUP equivalent)
 package main
 
 import (
@@ -59,9 +48,6 @@ func main() {
 		instrs     = flag.Int64("instrs", 1_500_000, "default measured instructions per run")
 		profile    = flag.Int64("profile", 2_000_000, "default AsmDB profiling instructions")
 		metricsOut = flag.String("metrics-out", "", "write a final Prometheus metrics snapshot here on shutdown")
-		peersFile  = flag.String("peers", "", "cluster membership file (\"name url\" per line); enables cluster mode")
-		selfName   = flag.String("self", "", "this node's name in the -peers file (required with -peers)")
-		replicas   = flag.Int("peer-replicas", 0, "virtual nodes per peer on the consistent-hash ring (0 = 64)")
 	)
 	flag.Parse()
 
@@ -90,29 +76,6 @@ func main() {
 	})
 	defer srv.Close()
 
-	if *peersFile != "" {
-		if *selfName == "" {
-			fmt.Fprintln(os.Stderr, "simd: -peers requires -self")
-			os.Exit(1)
-		}
-		peers, err := serve.LoadPeers(*peersFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simd:", err)
-			os.Exit(1)
-		}
-		cfg := serve.ClusterConfig{
-			Self:     *selfName,
-			Peers:    peers,
-			Replicas: *replicas,
-			Reload:   func() ([]serve.Peer, error) { return serve.LoadPeers(*peersFile) },
-		}
-		if err := srv.SetCluster(cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "simd:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "simd: cluster mode: self %q, %d peers (%s)\n", *selfName, len(peers), *peersFile)
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simd: listen:", err)
@@ -122,26 +85,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	// SIGHUP re-reads the peers file; the swapped ring applies to future
-	// requests only. Harmless (logged) outside cluster mode.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-hup:
-				if n, err := srv.ReloadCluster(); err != nil {
-					fmt.Fprintln(os.Stderr, "simd: reload:", err)
-				} else {
-					fmt.Fprintf(os.Stderr, "simd: reloaded cluster membership: %d peers\n", n)
-				}
-			}
-		}
-	}()
 
 	// The HTTP listener and the service drain share ctx: a signal closes
 	// the listener (no new connections) while Drain below stops admission

@@ -10,8 +10,8 @@
 // wall-clock or unseeded randomness leaking into simulated state, no exact
 // float comparison on derived statistics, and a Config fingerprint that
 // covers every field the canonical Stats JSON depends on. The concurrency
-// suite (ctxflow.go, lockdisc.go, goroleak.go) guards the serving/batch
-// layers' cancellation and locking contracts, and fpexclude.go gates the
+// suite (ctxflow.go, lockdisc.go, goroleak.go) guards the serving and
+// execution layers' cancellation and locking contracts, and fpexclude.go gates the
 // fingerprint-neutrality registry that keeps observational knobs provably
 // byte-neutral to cached results.
 //

@@ -343,7 +343,7 @@ func (s *Sim) sample() {
 // Run simulates until MaxInstrs program instructions retire after warmup,
 // or the source drains. It returns the measured statistics. Run is the
 // non-cancellable compatibility surface; anything that can be abandoned
-// (the serve layer, batch members) calls RunCtx.
+// (the serve layer, the experiment harness's cells) calls RunCtx.
 func (s *Sim) Run() (Stats, error) {
 	return s.RunCtx(context.Background()) //lint:allow ctx-less wrapper by contract: callers with a lifetime use RunCtx
 }
@@ -354,82 +354,6 @@ func (s *Sim) Run() (Stats, error) {
 // overhead unmeasurable while an abandoned run still stops within
 // microseconds of wall time.
 const cancelCheckInterval = 4096
-
-// idleLimit bounds cycles without a retirement before a run is declared
-// wedged.
-const idleLimit = 1_000_000
-
-// runState carries the per-run loop accounting — wedge detection and
-// cancellation-poll pacing — outside the Sim so the lockstep batch driver
-// (RunBatch) can interleave many sims through the identical loop body
-// without perturbing any of them.
-type runState struct {
-	idle        cache.Cycle
-	sinceCheck  int
-	cancellable bool
-}
-
-func newRunState(ctx context.Context) runState {
-	return runState{cancellable: ctx.Done() != nil}
-}
-
-// advance executes one iteration of the canonical run loop: the Done check
-// (which performs the warmup flip), the cancellation poll, one Step or
-// StepN, and idle/wedge accounting. It reports done=true when the run's
-// termination condition has been reached (call finishRun next), and a
-// non-nil error on cancellation or a wedged pipeline. RunCtx and RunBatch
-// both drive runs exclusively through this body, which is what makes
-// batched and solo runs bit-identical per member.
-func (s *Sim) advance(ctx context.Context, rs *runState) (bool, error) {
-	if s.Done() {
-		return true, nil
-	}
-	if rs.cancellable {
-		rs.sinceCheck++
-		if s.cfg.FastForward || rs.sinceCheck >= cancelCheckInterval {
-			rs.sinceCheck = 0
-			if err := ctx.Err(); err != nil {
-				return false, fmt.Errorf("core: run cancelled at cycle %d: %w", s.now, err)
-			}
-		}
-	}
-	retired := 0
-	if s.cfg.FastForward {
-		// Skipped spans retire nothing by construction, so they count
-		// toward the idle window exactly as stepping through them would.
-		n, r := s.StepN()
-		retired = r
-		rs.idle += n - 1
-	} else {
-		retired = s.Step()
-	}
-	if retired == 0 {
-		rs.idle++
-		if rs.idle > idleLimit {
-			return false, fmt.Errorf("core: no retirement for %d cycles at cycle %d (wedged pipeline)", idleLimit, s.now)
-		}
-	} else {
-		rs.idle = 0
-	}
-	return false, nil
-}
-
-// finishRun is the run epilogue shared by RunCtx and RunBatch: surface a
-// real source failure, fall back to measuring the whole run when the
-// source ended during warmup, and snapshot.
-func (s *Sim) finishRun() (Stats, error) {
-	if err := s.fe.Err(); err != nil && !errors.Is(err, trace.ErrEnd) {
-		return Stats{}, fmt.Errorf("core: source failed: %w", err)
-	}
-	if s.samp != nil {
-		return s.samp.finish(s.cfg.Name), nil
-	}
-	if !s.measured {
-		// The source ended during warmup; measure what we have.
-		s.startCyc = 0
-	}
-	return s.snapshot(), nil
-}
 
 // RunCtx is Run with cooperative cancellation. The context is polled only
 // at cycle boundaries — every fast-forward jump, or every
@@ -444,17 +368,50 @@ func (s *Sim) finishRun() (Stats, error) {
 // observation, so a run that finishes before its context dies is
 // byte-identical to an uncancelled one (TestRunCtxObservational).
 func (s *Sim) RunCtx(ctx context.Context) (Stats, error) {
-	rs := newRunState(ctx)
-	for {
-		done, err := s.advance(ctx, &rs)
-		if err != nil {
-			return Stats{}, err
+	const idleLimit = 1_000_000 // cycles without retirement => wedged
+	idle := cache.Cycle(0)
+	cancellable := ctx.Done() != nil
+	sinceCheck := 0
+	for !s.Done() {
+		if cancellable {
+			sinceCheck++
+			if s.cfg.FastForward || sinceCheck >= cancelCheckInterval {
+				sinceCheck = 0
+				if err := ctx.Err(); err != nil {
+					return Stats{}, fmt.Errorf("core: run cancelled at cycle %d: %w", s.now, err)
+				}
+			}
 		}
-		if done {
-			break
+		retired := 0
+		if s.cfg.FastForward {
+			// Skipped spans retire nothing by construction, so they count
+			// toward the idle window exactly as stepping through them would.
+			n, r := s.StepN()
+			retired = r
+			idle += n - 1
+		} else {
+			retired = s.Step()
+		}
+		if retired == 0 {
+			idle++
+			if idle > idleLimit {
+				return Stats{}, fmt.Errorf("core: no retirement for %d cycles at cycle %d (wedged pipeline)", idleLimit, s.now)
+			}
+		} else {
+			idle = 0
 		}
 	}
-	return s.finishRun()
+	if err := s.fe.Err(); err != nil && !errors.Is(err, trace.ErrEnd) {
+		return Stats{}, fmt.Errorf("core: source failed: %w", err)
+	}
+	if s.samp != nil {
+		return s.samp.finish(s.cfg.Name), nil
+	}
+	if !s.measured {
+		// The source ended during warmup; measure what we have.
+		s.startCyc = 0
+	}
+	return s.snapshot(), nil
 }
 
 // beginMeasurement resets all statistics at the warmup boundary, keeping

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"frontsim/internal/asmdb"
@@ -24,8 +23,7 @@ func baseSimKey(spec workload.Spec, p Params, c core.Config) simKey {
 }
 
 // runCachedSim executes one configuration against prog, consulting and
-// filling p.Cache under key. This is the single execution path every
-// ablation cell shares with the suite's matrix jobs.
+// filling p.Cache under key.
 func runCachedSim(p Params, key simKey, c core.Config, prog *program.Program) (core.Stats, error) {
 	var st core.Stats
 	if ok, err := p.Cache.Get(key, &st); err != nil {
@@ -34,20 +32,28 @@ func runCachedSim(p Params, key simKey, c core.Config, prog *program.Program) (c
 		p.obsRecord(&st, key.Workload.Name, c.Name)
 		return st, nil
 	}
-	if p.ObsRun != nil {
-		c.Obs = p.ObsRun(key.Workload.Name, c.Name)
-	}
-	st, err := core.RunSource(c, program.NewExecutor(prog, key.ExecSeed))
-	if cl, ok := c.Obs.(io.Closer); ok {
-		if cerr := cl.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("closing observer: %w", cerr)
-		}
-	}
-	if err != nil {
-		return st, err
-	}
-	p.obsRecord(&st, key.Workload.Name, c.Name)
-	return st, p.Cache.Put(key, st)
+	return runLiveSim(p, key, c, prog, c.Name)
+}
+
+// runLiveSim simulates a cache-missed configuration through runColdCell,
+// the path every matrix and sweep cell takes, and caches it under key;
+// series keys the obs hooks.
+func runLiveSim(p Params, key simKey, c core.Config, prog *program.Program, series string) (core.Stats, error) {
+	var st core.Stats
+	err := runColdCell(p, prog, key.ExecSeed, coldCell{
+		cfg: c,
+		wl:  key.Workload.Name, series: series,
+		label: key.Workload.Name + " " + series,
+		commit: func(s core.Stats) error {
+			st = s
+			if err := p.Cache.Put(key, s); err != nil {
+				return err
+			}
+			p.obsRecord(&s, key.Workload.Name, series)
+			return nil
+		},
+	})
+	return st, err
 }
 
 // ipcCell renders a table IPC cell. Exact runs print the plain value;
@@ -79,10 +85,9 @@ func speedupCell(st, base core.Stats) string {
 
 // sweep runs one configuration grid — cells[si][ci] for spec si and
 // configuration ci — through the runner pool. Each spec's cells are
-// probed against the cache first (warm cells are recorded immediately
-// and never join a batch; a fully warm spec skips even building its
-// program); the cold remainder runs as one lockstep batch over the
-// spec's shared stream, or as per-cell stealable jobs with batching off.
+// probed against the cache first (warm cells are recorded immediately; a
+// fully warm spec skips even building its program); the cold remainder
+// runs as one stealable job per cell.
 // mkCfg must be pure: it is called once per cell on an arbitrary worker.
 func sweep(specs []workload.Spec, nCfg int, p Params, mkCfg func(spec workload.Spec, ci int) core.Config) ([][]core.Stats, error) {
 	if err := p.Validate(); err != nil {
@@ -96,7 +101,7 @@ func sweep(specs []workload.Spec, nCfg int, p Params, mkCfg func(spec workload.S
 		si, spec := si, spec
 		out[si] = make([]core.Stats, nCfg)
 		g.Go(func() error {
-			var cells []batchCell
+			var cells []coldCell
 			for ci := 0; ci < nCfg; ci++ {
 				ci := ci
 				c := mkCfg(spec, ci)
@@ -112,7 +117,7 @@ func sweep(specs []workload.Spec, nCfg int, p Params, mkCfg func(spec workload.S
 					out[si][ci] = st
 					continue
 				}
-				cells = append(cells, batchCell{
+				cells = append(cells, coldCell{
 					cfg: c,
 					wl:  spec.Name, series: c.Name,
 					label: fmt.Sprintf("%s cell %d", spec.Name, ci),
@@ -239,10 +244,13 @@ func AblationFanout(specs []workload.Spec, thresholds []float64, p Params) (*sta
 					key.AsmDB = &opts
 					key.ProfileInstrs = p.ProfileInstrs
 					key.ProfileConfig = fdpFP
+					series := fmt.Sprintf("fanout%.2f", th)
 					var st core.Stats
 					if ok, err := p.Cache.Get(key, &st); err != nil {
 						return err
-					} else if !ok {
+					} else if ok {
+						p.obsRecord(&st, spec.Name, series)
+					} else {
 						plan, err := asmdb.Build(graph, opts)
 						if err != nil {
 							return err
@@ -251,10 +259,7 @@ func AblationFanout(specs []workload.Spec, thresholds []float64, p Params) (*sta
 						if err != nil {
 							return err
 						}
-						if st, err = core.RunSource(mk(), program.NewExecutor(rw, seed)); err != nil {
-							return err
-						}
-						if err := p.Cache.Put(key, st); err != nil {
+						if st, err = runLiveSim(p, key, mk(), rw, series); err != nil {
 							return err
 						}
 					}

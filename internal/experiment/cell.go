@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"frontsim/internal/asmdb"
@@ -243,37 +242,6 @@ func ProbeCell(spec workload.Spec, series string, p Params) (core.Stats, string,
 	var st core.Stats
 	ok, err := p.Cache.Get(keys.series[id], &st)
 	return st, addr, ok, err
-}
-
-// StoreCellBytes writes raw — a core.Stats CanonicalJSON — into p.Cache
-// under the (workload, series) cell's key, verbatim: the write-back path
-// of the serving layer's peer cache fill. Storing the home node's bytes
-// unmodified (rather than decode-and-re-encode) keeps the local cache
-// entry byte-identical to the home's, so a sharded cluster converges to
-// identical files. The bytes must decode as a stats snapshot (unknown
-// fields rejected); anything else is refused before touching the cache.
-func StoreCellBytes(spec workload.Spec, series string, p Params, raw []byte) error {
-	if _, err := core.StatsFromJSON(raw); err != nil {
-		return fmt.Errorf("experiment: refusing to store cell bytes: %w", err)
-	}
-	id, err := seriesByLabel(series)
-	if err != nil {
-		return err
-	}
-	keys, err := newMatrixKeys(spec, p)
-	if err != nil {
-		return err
-	}
-	return p.Cache.Put(keys.series[id], json.RawMessage(raw))
-}
-
-// StoreConfigCellBytes is StoreCellBytes for an arbitrary configuration
-// against the workload's unmodified program.
-func StoreConfigCellBytes(spec workload.Spec, c core.Config, p Params, raw []byte) error {
-	if _, err := core.StatsFromJSON(raw); err != nil {
-		return fmt.Errorf("experiment: refusing to store cell bytes: %w", err)
-	}
-	return p.Cache.Put(baseSimKey(spec, p, c), json.RawMessage(raw))
 }
 
 // ConfigCellAddress returns the content address of a run of c against

@@ -202,70 +202,3 @@ func TestCancelledCellNeverCached(t *testing.T) {
 		}
 	})
 }
-
-// TestStoreCellBytesRoundTrip pins the peer write-back contract: bytes
-// produced by a cell run on one cache, stored verbatim into a second
-// cache via StoreCellBytes, yield a byte-identical on-disk entry — the
-// property that makes a sharded cluster's caches converge — and the
-// second cache answers ProbeCell without executing anything.
-func TestStoreCellBytesRoundTrip(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-	pA := cellParams(t, dirA)
-	pB := cellParams(t, dirB)
-	spec := workload.All()[0]
-
-	pool := runner.NewPool(2)
-	defer pool.Close()
-	res, err := RunCellCtx(context.Background(), pool, spec, "fdp24", pA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := res.Stats.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := StoreCellBytes(spec, "fdp24", pB, raw); err != nil {
-		t.Fatal(err)
-	}
-
-	entry := filepath.Join(res.Fingerprint[:2], res.Fingerprint+".json")
-	a, err := os.ReadFile(filepath.Join(dirA, entry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(filepath.Join(dirB, entry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("stored entry differs from the executed one:\nA: %s\nB: %s", a, b)
-	}
-
-	st, addr, ok, err := ProbeCell(spec, "fdp24", pB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok || addr != res.Fingerprint {
-		t.Fatalf("probe after store: ok=%v addr=%s, want hit at %s", ok, addr, res.Fingerprint)
-	}
-	got, err := st.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, raw) {
-		t.Fatal("probed stats decode to different canonical bytes")
-	}
-
-	// Garbage and schema-mismatched payloads must be refused before the
-	// cache is touched.
-	if err := StoreCellBytes(spec, "fdp24", pB, []byte(`{"not_a_stat":1}`)); err == nil {
-		t.Fatal("unknown-field payload accepted")
-	}
-	if err := StoreCellBytes(spec, "fdp24", pB, []byte(`garbage`)); err == nil {
-		t.Fatal("non-JSON payload accepted")
-	}
-	if err := StoreCellBytes(spec, "no-such-series", pB, raw); err == nil {
-		t.Fatal("unknown series accepted")
-	}
-}

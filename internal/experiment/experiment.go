@@ -78,8 +78,8 @@ type Params struct {
 	// cycle-stepped runs share cache entries. DefaultParams turns it on.
 	FastForward bool `json:"-"`
 	// Sampling selects SMARTS-style sampled simulation
-	// (core.Config.Sampling) for every simulated cell. Unlike Audit,
-	// FastForward and Batch it is *semantic*: the sampling geometry is part
+	// (core.Config.Sampling) for every simulated cell. Unlike Audit and
+	// FastForward it is *semantic*: the sampling geometry is part
 	// of every config fingerprint, so sampled and exact cells never share
 	// run-cache entries, and sampled Stats carry the per-window CPI
 	// estimate (core.SamplingStats) the tables render as ± confidence
@@ -90,16 +90,6 @@ type Params struct {
 	// across rewritten programs, where sampling noise would feed back into
 	// plan selection.
 	Sampling core.SamplingConfig
-	// Batch groups a workload's cold cells into one lockstep batch job:
-	// the instruction stream is generated and decoded once per workload
-	// and fanned out to every cold config's simulator (trace.Fanout +
-	// core.RunBatch). Purely an execution strategy: per-cell cache
-	// identities, fingerprints and results are byte-identical with it on
-	// or off (TestBatchEquivalence), so it is excluded from serialized
-	// keys and batched and per-cell runs share cache entries. Warm cells
-	// are served from the cache and never join a batch. DefaultParams
-	// turns it on.
-	Batch bool `json:"-"`
 }
 
 // obsRecord exports one cell's metrics to the suite collector.
@@ -122,7 +112,6 @@ func DefaultParams() Params {
 		AsmDB:         asmdb.DefaultOptions(),
 		ExecSeedSalt:  0x5eed5eed5eed5eed,
 		FastForward:   true,
-		Batch:         true,
 	}
 }
 
@@ -445,10 +434,10 @@ func runMatrixPooled(pool *runner.Pool, spec workload.Spec, index int, p Params,
 	}
 	execSeed := spec.Seed ^ p.ExecSeedSalt
 
-	// seriesCell wraps one cold series as a batchCell; its commit is the
-	// exact post-run sequence the historical per-series jobs performed.
-	seriesCell := func(id seriesID, c core.Config) batchCell {
-		return batchCell{
+	// seriesCell wraps one cold series as a coldCell; its commit stores
+	// the result, caches it, and reports it to obs and progress.
+	seriesCell := func(id seriesID, c core.Config) coldCell {
+		return coldCell{
 			cfg: c,
 			wl:  spec.Name, series: seriesLabels[id],
 			label: spec.Name + " " + seriesLabels[id],
@@ -464,12 +453,11 @@ func runMatrixPooled(pool *runner.Pool, spec workload.Spec, index int, p Params,
 		}
 	}
 
-	// Wave 1: runs against the unmodified program — one lockstep batch
-	// over a shared stream when batching is on. The conservative baseline
-	// doubles as the profiling IPC source, as the paper profiles on the
-	// pre-FDP machine AsmDB's authors evaluated.
+	// Wave 1: runs against the unmodified program. The conservative
+	// baseline doubles as the profiling IPC source, as the paper profiles
+	// on the pre-FDP machine AsmDB's authors evaluated.
 	g := pool.NewGroup()
-	var w1 []batchCell
+	var w1 []coldCell
 	if !have[serCons] {
 		w1 = append(w1, seriesCell(serCons, p.consConfig()))
 	}
@@ -520,8 +508,6 @@ func runMatrixPooled(pool *runner.Pool, spec workload.Spec, index int, p Params,
 
 	// Wave 2: runs that need the plan — the rewritten program for the
 	// insertion-overhead series, the trigger table for the ideal ones.
-	// Two distinct instruction streams, so two batches: cells over the
-	// rewritten program, and trigger-table cells over the base program.
 	if needPlanned {
 		rewritten, _, err := asmdb.Apply(prog, m.Plan)
 		if err != nil {
@@ -533,7 +519,7 @@ func runMatrixPooled(pool *runner.Pool, spec workload.Spec, index int, p Params,
 			return c
 		}
 		g = pool.NewGroup()
-		var rw, trg []batchCell
+		var rw, trg []coldCell
 		if !have[serAsmdbCons] {
 			rw = append(rw, seriesCell(serAsmdbCons, p.consConfig()))
 		}

@@ -11,6 +11,42 @@ import (
 	"frontsim/internal/workload"
 )
 
+// harnessParams scales the budgets below tinyParams so the conformance
+// harnesses can afford several full passes in one test.
+func harnessParams() Params {
+	p := DefaultParams()
+	p.WarmupInstrs = 40_000
+	p.MeasureInstrs = 100_000
+	p.ProfileInstrs = 200_000
+	return p
+}
+
+// snapshotDir reads every file under dir keyed by slash-separated
+// relative path, for byte-level directory comparison.
+func snapshotDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		files[filepath.ToSlash(rel)] = b
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 // mechanismPass runs every registered mechanism over one workload in one
 // execution mode against a fresh cache, returning the per-mechanism
 // canonical Stats JSON and a byte snapshot of the cache directory.
@@ -26,9 +62,8 @@ func runMechanismPass(t *testing.T, spec workload.Spec, mode func(*Params)) mech
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := batchHarnessParams()
+	p := harnessParams()
 	p.Cache = c
-	p.Batch = false
 	mode(&p)
 
 	mechs := Mechanisms()
@@ -57,12 +92,12 @@ func runMechanismPass(t *testing.T, spec workload.Spec, mode func(*Params)) mech
 // every registered mechanism — no prefetching on both FTQ shapes, EIP,
 // MANA, shadow-branch decoding, and the I-TLB model — must behave
 // identically across every execution mode. Concretely, runs with
-// fast-forward off, under lockstep batching, and under per-cycle audit
-// must produce byte-identical canonical Stats and byte-identical run-cache
-// directories (same keys, same bytes) as the plain fast-forwarded pass,
-// and a cache warmed by one mode must serve every other mode without a
-// single miss. A mechanism whose state mutates inside a fast-forwarded
-// span, or that breaks a per-cycle invariant, fails here.
+// fast-forward off and under per-cycle audit must produce byte-identical
+// canonical Stats and byte-identical run-cache directories (same keys,
+// same bytes) as the plain fast-forwarded pass, and a cache warmed by one
+// mode must serve the other modes without a single miss. A mechanism
+// whose state mutates inside a fast-forwarded span, or that breaks a
+// per-cycle invariant, fails here.
 func TestMechanismConformance(t *testing.T) {
 	spec, ok := workload.Lookup("public_srv_60")
 	if !ok {
@@ -72,7 +107,7 @@ func TestMechanismConformance(t *testing.T) {
 
 	// Identity first: every mechanism must fingerprint distinctly from
 	// every other, or the run cache would conflate their results.
-	p := batchHarnessParams()
+	p := harnessParams()
 	fps := map[string]string{}
 	for _, m := range mechs {
 		cfg, err := m.Config(p)
@@ -92,7 +127,6 @@ func TestMechanismConformance(t *testing.T) {
 		mode func(*Params)
 	}{
 		{"ff-off", func(p *Params) { p.FastForward = false }},
-		{"batch", func(p *Params) { p.Batch = true }},
 		{"audit", func(p *Params) { p.Audit = true }},
 	}
 	for _, m := range modes {
@@ -121,8 +155,8 @@ func TestMechanismConformance(t *testing.T) {
 	}
 
 	// Cross-mode cache sharing: replay the base pass's entries byte-for-
-	// byte into a fresh cache directory, then run the opposite execution
-	// mode against it. Every cell must hit — the mode flags are invisible
+	// byte into a fresh cache directory, then run it with fast-forward off
+	// and audit on. Every cell must hit — the mode flags are invisible
 	// to every key.
 	dir := t.TempDir()
 	for rel, b := range base.cache {
@@ -139,11 +173,10 @@ func TestMechanismConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre := warm.Metrics()
-	pWarm := batchHarnessParams()
+	pWarm := harnessParams()
 	pWarm.Cache = warm
 	pWarm.FastForward = false
 	pWarm.Audit = true
-	pWarm.Batch = true
 	res, err := sweep([]workload.Spec{spec}, len(mechs), pWarm, func(_ workload.Spec, ci int) core.Config {
 		cfg, err := mechs[ci].Config(pWarm)
 		if err != nil {

@@ -13,5 +13,4 @@ var FingerprintNeutral = map[string]string{
 	"Obs":         "TestObsUniformAcrossCacheStates",
 	"ObsRun":      "TestObsUniformAcrossCacheStates",
 	"FastForward": "TestFastForwardEquivalence",
-	"Batch":       "TestBatchEquivalence",
 }

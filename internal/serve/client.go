@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"frontsim/internal/obs"
 	"frontsim/internal/xrand"
 )
 
@@ -36,9 +35,6 @@ type Client struct {
 	MaxBackoff time.Duration
 	// Seed makes the jitter sequence reproducible (0: a fixed default).
 	Seed uint64
-	// Headers is added to every request — how a cluster node marks its
-	// peer-fill probes with X-Simd-Peer.
-	Headers http.Header
 
 	mu  sync.Mutex
 	rng *xrand.Rand
@@ -74,27 +70,12 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return string(b), err
 }
 
-// MetricsJSON fetches and decodes the canonical metric set — the scrape
-// the cluster rollup aggregates.
-func (c *Client) MetricsJSON(ctx context.Context) (obs.MetricSet, error) {
-	b, err := c.get(ctx, "/metrics.json")
-	if err != nil {
-		return nil, err
-	}
-	var ms obs.MetricSet
-	if err := json.Unmarshal(b, &ms); err != nil {
-		return nil, fmt.Errorf("serve: decoding metrics.json: %w", err)
-	}
-	return ms, nil
-}
-
 // get performs a single (non-retried) GET of path.
 func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
 		return nil, err
 	}
-	c.applyHeaders(hreq)
 	hc := c.HTTPClient
 	if hc == nil {
 		hc = http.DefaultClient
@@ -112,15 +93,6 @@ func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 		return nil, &StatusError{Status: res.StatusCode, Body: string(b)}
 	}
 	return b, nil
-}
-
-// applyHeaders copies the client's fixed headers onto req.
-func (c *Client) applyHeaders(req *http.Request) {
-	for k, vs := range c.Headers {
-		for _, v := range vs {
-			req.Header.Set(k, v)
-		}
-	}
 }
 
 // do POSTs body to path, retrying per the client's policy, and decodes
@@ -165,7 +137,6 @@ func (c *Client) do(ctx context.Context, path string, body, out any) error {
 			return err
 		}
 		hreq.Header.Set("Content-Type", "application/json")
-		c.applyHeaders(hreq)
 		res, err := hc.Do(hreq)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -271,6 +242,14 @@ func parseRetryAfter(v string) time.Duration {
 	}
 	var d time.Duration
 	if secs, err := strconv.Atoi(v); err == nil {
+		// Clamp before multiplying: from 9,223,372,037 s on, secs*time.Second
+		// overflows time.Duration and wraps past either clamp below.
+		switch {
+		case secs < 0:
+			return 0
+		case secs > int(maxRetryAfter/time.Second):
+			return maxRetryAfter
+		}
 		d = time.Duration(secs) * time.Second
 	} else if at, err := http.ParseTime(v); err == nil {
 		d = time.Until(at)

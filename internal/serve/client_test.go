@@ -84,6 +84,42 @@ func TestClientTerminalStatus(t *testing.T) {
 	}
 }
 
+// TestClientMetrics pins the single-GET path: a 200 returns the body
+// verbatim, and any other status surfaces as a *StatusError without a
+// retry.
+func TestClientMetrics(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/metrics" {
+			http.NotFound(w, r)
+			return
+		}
+		if calls.Add(1) == 1 {
+			_, _ = w.Write([]byte("simd_requests_total 3\n"))
+			return
+		}
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+	}))
+	defer ts.Close()
+
+	c := &Client{BaseURL: ts.URL}
+	got, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != "simd_requests_total 3\n" {
+		t.Fatalf("Metrics = %q", got)
+	}
+	_, err = c.Metrics(context.Background())
+	var se *StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusServiceUnavailable {
+		t.Fatalf("err = %v, want StatusError 503", err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("server saw %d calls, want 2", n)
+	}
+}
+
 // TestBackoffHonorsRetryAfter pins the schedule arithmetic directly: a
 // Retry-After hint overrides the exponential wait; without one the wait
 // is the jittered exponential, capped at MaxBackoff.
@@ -121,6 +157,10 @@ func TestParseRetryAfter(t *testing.T) {
 		"-1":     0,
 		"999999": maxRetryAfter,
 		"soon":   0,
+		// Large enough that secs*time.Second would overflow int64.
+		"10000000000":  maxRetryAfter,
+		"9300000000":   maxRetryAfter,
+		"-10000000000": 0,
 	}
 	for in, want := range cases {
 		if got := parseRetryAfter(in); got != want {

@@ -82,10 +82,6 @@ type Server struct {
 	drainOnce sync.Once
 	inflight  sync.WaitGroup // admitted HTTP requests
 
-	// Cluster membership (nil: single-node mode). See cluster.go.
-	cluster    atomic.Pointer[clusterState]
-	clusterCfg ClusterConfig
-
 	mu     sync.Mutex
 	flight map[string]*flight
 
@@ -99,31 +95,21 @@ type Server struct {
 	cancelledReq atomic.Int64 // subscriptions abandoned before completion
 	failed       atomic.Int64 // cells that returned an error
 
-	// Cluster counters (all zero in single-node mode).
-	peerFilled     atomic.Int64 // cold cells satisfied by the home peer
-	peerFallback   atomic.Int64 // peer fills that fell back to local execution
-	peerServed     atomic.Int64 // forwarded requests served as the home node
-	peerStoreErrs  atomic.Int64 // peer-fill write-backs that failed to cache
-	clusterReloads atomic.Int64 // membership reloads applied
-
-	// runCell, probe and storeCell are the execution, cache-lookup and
-	// peer-write-back seams; tests stub them to make admission, coalescing
-	// and cluster behavior deterministic. Production: run/probe/store a
-	// real cell.
-	runCell   func(ctx context.Context, pc *preparedCell) (experiment.CellResult, error)
-	probe     func(pc *preparedCell) (core.Stats, bool, error)
-	storeCell func(pc *preparedCell, raw json.RawMessage) error
+	// runCell and probe are the execution and cache-lookup seams; tests
+	// stub them to make admission and coalescing deterministic.
+	// Production: run/probe a real cell.
+	runCell func(ctx context.Context, pc *preparedCell) (experiment.CellResult, error)
+	probe   func(pc *preparedCell) (core.Stats, bool, error)
 }
 
 // flight is one in-progress cell execution with its subscriber set.
 type flight struct {
-	done       chan struct{}
-	res        experiment.CellResult
-	err        error
-	peerFilled bool // the flight was satisfied by the home peer, not local execution
-	subs       int  // guarded by Server.mu
-	abandoned  bool // last subscriber left and cancel was fired; guarded by Server.mu
-	cancel     context.CancelFunc
+	done      chan struct{}
+	res       experiment.CellResult
+	err       error
+	subs      int  // guarded by Server.mu
+	abandoned bool // last subscriber left and cancel was fired; guarded by Server.mu
+	cancel    context.CancelFunc
 }
 
 // New builds a Server. Close releases its pool.
@@ -167,17 +153,12 @@ func New(opts Options) *Server {
 	}
 	s.runCell = s.executeCell
 	s.probe = s.probeCell
-	s.storeCell = s.storeCellBytes
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/cell", s.handleCell)
 	s.mux.HandleFunc("POST /v1/suite", s.handleSuite)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
-	s.mux.HandleFunc("GET /cluster/metrics", s.handleClusterMetrics)
-	s.mux.HandleFunc("GET /cluster/metrics.json", s.handleClusterMetricsJSON)
-	s.mux.HandleFunc("POST /cluster/reload", s.handleClusterReload)
 	return s
 }
 
@@ -223,11 +204,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // --- request/response types ---------------------------------------------
 
 // CellRequest asks for one simulation cell. Series selects one of the
-// suite's seven per-workload series (default "fdp24"); alternatively,
-// config overrides (FTQ, DecodeWidth, NoPFC, HwPrefetcher) or a named
-// Ablation variant run the workload's unmodified program under a modified
-// industry-standard configuration, cached under the same identity an
-// ablation sweep of that configuration uses.
+// suite's ten per-workload series (experiment.SeriesLabels; default
+// "fdp24"); alternatively, config overrides (FTQ, DecodeWidth, NoPFC,
+// HwPrefetcher) or a named Ablation variant run the workload's unmodified
+// program under a modified industry-standard configuration, cached under
+// the same identity an ablation sweep of that configuration uses.
 type CellRequest struct {
 	Workload string `json:"workload"`
 	Series   string `json:"series,omitempty"`
@@ -269,7 +250,6 @@ type CellResponse struct {
 	Fingerprint string  `json:"fingerprint"`
 	Cached      bool    `json:"cached"`
 	Coalesced   bool    `json:"coalesced"`
-	PeerFilled  bool    `json:"peer_filled,omitempty"`
 	IPC         float64 `json:"ipc"`
 	L1IMPKI     float64 `json:"l1i_mpki"`
 	// Sampled cells additionally report the 95% confidence half-width on
@@ -318,16 +298,6 @@ type preparedCell struct {
 	config core.Config // series == "": config-override cell
 	params experiment.Params
 	addr   string
-
-	// req is the normalized request (ablation expanded, budgets made
-	// explicit) a non-home node forwards to the cell's home peer; pinning
-	// resolved budgets means both nodes compute the same content address
-	// even when their command-line defaults differ.
-	req CellRequest
-	// peerHop marks a request that already traveled one peer hop
-	// (X-Simd-Peer present): it must be produced locally, never
-	// re-forwarded — the loop guard.
-	peerHop bool
 }
 
 func (s *Server) prepare(req CellRequest) (*preparedCell, error) {
@@ -360,16 +330,6 @@ func (s *Server) prepare(req CellRequest) (*preparedCell, error) {
 	if err := applyAblation(&req); err != nil {
 		return nil, err
 	}
-	// The forwarded form pins everything this node resolved — ablation
-	// sugar expanded, budgets explicit — so the home peer addresses the
-	// identical cell regardless of its own defaults.
-	pc.req = CellRequest{
-		Workload: spec.Name, Series: req.Series,
-		FTQ: req.FTQ, DecodeWidth: req.DecodeWidth, NoPFC: req.NoPFC, HwPrefetcher: req.HwPrefetcher,
-		WarmupInstrs: p.WarmupInstrs, MeasureInstrs: p.MeasureInstrs, ProfileInstrs: p.ProfileInstrs,
-		SamplingInterval: p.Sampling.IntervalInstrs, SamplingDetail: p.Sampling.DetailInstrs,
-		SamplingWarm: p.Sampling.WarmInstrs,
-	}
 	if req.FTQ != 0 || req.DecodeWidth != 0 || req.NoPFC || req.HwPrefetcher != "" {
 		if req.Series != "" {
 			return nil, fmt.Errorf("series %q and config overrides are mutually exclusive", req.Series)
@@ -396,7 +356,6 @@ func (s *Server) prepare(req CellRequest) (*preparedCell, error) {
 		return nil, err
 	}
 	pc.series = series
-	pc.req.Series = series
 	pc.addr = addr
 	return pc, nil
 }
@@ -525,7 +484,7 @@ func (s *Server) cell(ctx context.Context, pc *preparedCell) (CellResponse, erro
 		return finishCell(resp, st)
 	}
 
-	res, coalesced, peerFilled, err := s.joinFlight(ctx, pc)
+	res, coalesced, err := s.joinFlight(ctx, pc)
 	if err != nil {
 		// Execution failures are counted once, by the flight leader; here
 		// only this subscriber's own abandonment is.
@@ -536,7 +495,6 @@ func (s *Server) cell(ctx context.Context, pc *preparedCell) (CellResponse, erro
 	}
 	resp.Cached = res.Cached
 	resp.Coalesced = coalesced
-	resp.PeerFilled = peerFilled
 	return finishCell(resp, res.Stats)
 }
 
@@ -565,10 +523,9 @@ func finishCell(resp CellResponse, st core.Stats) (CellResponse, error) {
 }
 
 // joinFlight subscribes ctx to the cell's flight, creating it (and
-// leading the production) if none exists. The returned bools report
-// whether this request coalesced onto an existing flight, and whether
-// the flight was satisfied by the cell's home peer.
-func (s *Server) joinFlight(ctx context.Context, pc *preparedCell) (experiment.CellResult, bool, bool, error) {
+// leading the execution) if none exists. The returned bool reports
+// whether this request coalesced onto an existing flight.
+func (s *Server) joinFlight(ctx context.Context, pc *preparedCell) (experiment.CellResult, bool, error) {
 	s.mu.Lock()
 	// An abandoned flight (last subscriber left, cancel already fired) is
 	// not joinable: its execution is dying with context.Canceled, and a new
@@ -580,7 +537,7 @@ func (s *Server) joinFlight(ctx context.Context, pc *preparedCell) (experiment.C
 		s.mu.Unlock()
 		s.coalesced.Add(1)
 		res, err := s.awaitFlight(ctx, f)
-		return res, true, err == nil && f.peerFilled, err
+		return res, true, err
 	}
 	// The flight context deliberately does not descend from any single
 	// subscriber's ctx: the flight is shared, and must survive subscriber A
@@ -593,17 +550,13 @@ func (s *Server) joinFlight(ctx context.Context, pc *preparedCell) (experiment.C
 
 	go s.lead(fctx, pc, f)
 	res, err := s.awaitFlight(ctx, f)
-	// f.peerFilled is published by the close(f.done) the nil-err path
-	// implies; on the ctx-abandon path the flight may still be running, so
-	// the field must not be read.
-	return res, false, err == nil && f.peerFilled, err
+	return res, false, err
 }
 
-// lead runs the flight: peer fill or admission + execution, publication,
-// removal.
+// lead runs the flight: admission + execution, publication, removal.
 func (s *Server) lead(fctx context.Context, pc *preparedCell, f *flight) {
 	defer f.cancel()
-	f.res, f.peerFilled, f.err = s.produceCell(fctx, pc)
+	f.res, f.err = s.admitAndRun(fctx, pc)
 	if f.err == nil {
 		f.res.Fingerprint = pc.addr
 	} else if !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, errQueueFull) && !errors.Is(f.err, errDraining) {
@@ -617,20 +570,6 @@ func (s *Server) lead(fctx context.Context, pc *preparedCell, f *flight) {
 	}
 	s.mu.Unlock()
 	close(f.done)
-}
-
-// produceCell is the flight leader's work: in cluster mode a cold cell
-// whose home is another node is filled from that peer (one execution per
-// fingerprint globally); everything else — home cells, forwarded hops,
-// peer failures — is admitted and executed locally. The peer probe runs
-// before admission on purpose: it holds no execution slot while waiting
-// on the home node's simulation.
-func (s *Server) produceCell(fctx context.Context, pc *preparedCell) (experiment.CellResult, bool, error) {
-	if res, ok := s.peerFill(fctx, pc); ok {
-		return res, true, nil
-	}
-	res, err := s.admitAndRun(fctx, pc)
-	return res, false, err
 }
 
 // admitAndRun acquires an execution slot — queueing up to MaxQueue, shed
@@ -760,9 +699,6 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	if pc.peerHop = r.Header.Get(PeerHeader) != ""; pc.peerHop {
-		s.peerServed.Add(1)
-	}
 	ctx, cancel := requestCtx(r, req.TimeoutMs)
 	defer cancel()
 	resp, err := s.cell(ctx, pc)
@@ -881,16 +817,6 @@ func (s *Server) MetricSet() obs.MetricSet {
 	add("simd_cancelled_total", "subscriptions abandoned before completion", s.cancelledReq.Load())
 	add("simd_failed_total", "cells that returned an error", s.failed.Load())
 	add("simd_queue_waiting", "requests currently waiting for an execution slot", s.waiting.Load())
-	add("simd_peer_fill_total", "peer-fill outcomes, by result", s.peerFilled.Load(),
-		obs.Label{Key: "result", Value: "filled"})
-	add("simd_peer_fill_total", "peer-fill outcomes, by result", s.peerFallback.Load(),
-		obs.Label{Key: "result", Value: "fallback"})
-	add("simd_peer_served_total", "forwarded peer requests served as the home node", s.peerServed.Load())
-	add("simd_peer_store_errors_total", "peer-fill write-backs that failed to cache", s.peerStoreErrs.Load())
-	add("simd_cluster_reloads_total", "membership reloads applied", s.clusterReloads.Load())
-	if cs := s.cluster.Load(); cs != nil {
-		add("simd_cluster_peers", "current cluster membership size", int64(len(cs.peers)))
-	}
 	cm := s.opts.Cache.Metrics()
 	add("simd_run_cache_hits_total", "run cache lookups served", cm.Hits)
 	add("simd_run_cache_misses_total", "run cache lookups missed", cm.Misses)
