@@ -6,19 +6,27 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
+	"frontsim/internal/asmdb"
 	"frontsim/internal/core"
+	"frontsim/internal/runner"
 	"frontsim/internal/workload"
 )
 
-// statsDigestGolden is the on-disk form of the simulator-output pin: the
-// sha256 of every cell's canonical stats, keyed "workload/mode/series".
-type statsDigestGolden struct {
+// goldenPin is the on-disk form of a cross-commit pin: a string map
+// stamped with the cache schema it was written under. The stats digest
+// maps "workload/mode/series" to the sha256 of that cell's canonical
+// stats; the address pin maps each run-cache content address to its
+// key's kind and the series that wrote it.
+type goldenPin struct {
 	Schema int               `json:"schema"`
 	Cells  map[string]string `json:"cells"`
 }
@@ -53,17 +61,13 @@ func digestModes() []struct {
 // compares the simulator with its own past, so a performance change that
 // claims byte-identical results is checked against the commit before it.
 //
-// -update rewrites the file only when cacheSchema has moved past the
-// golden's schema: within one schema, cached results and these digests
-// are the same contract, and a drift is a bug, not a refresh.
-//
 // The digests are amd64-only: elsewhere Go may fuse the Welford update in
 // stats.Estimate into an FMA, which changes the M2 bits of sampled cells.
 func TestStatsDigestGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests are pinned on amd64; %s may fuse float ops differently", runtime.GOARCH)
 	}
-	got := statsDigestGolden{Schema: cacheSchema, Cells: map[string]string{}}
+	got := map[string]string{}
 	for _, mode := range digestModes() {
 		for i, name := range digestWorkloads {
 			spec, ok := workload.Lookup(name)
@@ -80,22 +84,31 @@ func TestStatsDigestGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 				sum := sha256.Sum256(b)
-				got.Cells[name+"/"+mode.name+"/"+label] = hex.EncodeToString(sum[:])
+				got[name+"/"+mode.name+"/"+label] = hex.EncodeToString(sum[:])
 			}
 		}
 	}
-	enc, err := json.MarshalIndent(got, "", "  ")
+	checkPin(t, "stats_digest_golden.json", got)
+}
+
+// checkPin compares cells with the golden pin file under testdata.
+// -update rewrites the file only when cacheSchema has moved past the
+// pin's schema: within one schema, cached results, their keys and these
+// pins are the same contract, and a drift is a bug, not a refresh.
+func checkPin(t *testing.T, file string, cells map[string]string) {
+	t.Helper()
+	enc, err := json.MarshalIndent(goldenPin{Schema: cacheSchema, Cells: cells}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	enc = append(enc, '\n')
 
-	golden := filepath.Join("testdata", "stats_digest_golden.json")
+	golden := filepath.Join("testdata", file)
 	raw, err := os.ReadFile(golden)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		t.Fatal(err)
 	}
-	var want statsDigestGolden
+	var want goldenPin
 	if err == nil {
 		if err := json.Unmarshal(raw, &want); err != nil {
 			t.Fatalf("%s: %v", golden, err)
@@ -116,17 +129,96 @@ func TestStatsDigestGolden(t *testing.T) {
 	if bytes.Equal(enc, raw) {
 		return
 	}
-	for key, sum := range want.Cells {
-		if got.Cells[key] != sum {
-			t.Errorf("%s: stats digest %s, golden %s", key, got.Cells[key], sum)
+	for key, v := range want.Cells {
+		if cells[key] != v {
+			t.Errorf("%s: got %q, golden %q", key, cells[key], v)
 		}
 	}
-	for key := range got.Cells {
+	for key, v := range cells {
 		if _, ok := want.Cells[key]; !ok {
-			t.Errorf("%s: cell missing from the golden", key)
+			t.Errorf("%s (%s): missing from the golden", key, v)
 		}
 	}
 	if !t.Failed() {
 		t.Fatalf("%s differs in layout only; got:\n%s", golden, enc)
 	}
+}
+
+// TestCacheAddressGolden pins run-cache keys across commits: a cold pass
+// over both modes of digestModes' matrix, A1 at FTQ depths {2, 4} and A2
+// at fanout 0.30 must write exactly the checked-in entries, each labelled
+// with its key's kind and the pass and series that wrote it. The stats
+// digest pins what a cell computes; this pins where it is stored, so a
+// change to how cells are keyed misses every warm cache even when its
+// stats are unchanged. Addresses never depend on stats, so the budgets
+// are tiny.
+func TestCacheAddressGolden(t *testing.T) {
+	spec, ok := workload.Lookup(digestWorkloads[0])
+	if !ok {
+		t.Fatal("workload missing")
+	}
+	dir := t.TempDir()
+	c, err := runner.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := DefaultParams()
+	exact.WarmupInstrs = 5_000
+	exact.MeasureInstrs = 20_000
+	exact.ProfileInstrs = 30_000
+	exact.Cache = c
+	sampled := exact
+	sampled.Sampling = core.SamplingConfig{IntervalInstrs: 5_000, DetailInstrs: 500, WarmInstrs: 1_000}
+
+	// Each pass labels the entries it added: the matrix's through the
+	// addresses ProbeCell reports for its series, the sweeps' by the
+	// series name their cells carry (the config name; A2's threshold).
+	got := map[string]string{}
+	pass := func(name string, p Params, run func() error) {
+		t.Helper()
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		series := map[string]string{}
+		for _, label := range SeriesLabels() {
+			if _, addr, _, err := ProbeCell(spec, label, p); err != nil {
+				t.Fatal(err)
+			} else {
+				series[addr] = label
+			}
+		}
+		for rel, b := range snapshotDir(t, dir) {
+			addr := strings.TrimSuffix(path.Base(rel), ".json")
+			if _, old := got[addr]; old {
+				continue
+			}
+			var e struct {
+				Key struct {
+					Kind  string         `json:"kind"`
+					AsmDB *asmdb.Options `json:"asmdb"`
+				} `json:"key"`
+				Value struct{ Config string } `json:"value"`
+			}
+			if err := json.Unmarshal(b, &e); err != nil {
+				t.Fatalf("cache entry %s: %v", rel, err)
+			}
+			label, ok := series[addr]
+			switch {
+			case ok:
+			case e.Key.Kind == "plan":
+				label = "plan"
+			case e.Key.AsmDB != nil:
+				label = fmt.Sprintf("fanout%.2f", e.Key.AsmDB.FanoutThreshold)
+			default:
+				label = e.Value.Config
+			}
+			got[addr] = e.Key.Kind + " " + name + "/" + label
+		}
+	}
+	specs := []workload.Spec{spec}
+	pass("exact", exact, func() error { _, err := RunMatrix(spec, 1, exact); return err })
+	pass("sampled", sampled, func() error { _, err := RunMatrix(spec, 1, sampled); return err })
+	pass("ftq", exact, func() error { _, err := AblationFTQDepth(specs, []int{2, 4}, exact); return err })
+	pass("fanout", exact, func() error { _, err := AblationFanout(specs, []float64{0.30}, exact); return err })
+	checkPin(t, "cache_address_golden.json", got)
 }
