@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-strict test race audit vet check obs-smoke ff-smoke serve-smoke prefetch-smoke sampling-smoke cover
+.PHONY: all build lint lint-strict test race audit vet check suite-smoke obs-smoke ff-smoke serve-smoke prefetch-smoke sampling-smoke cover
 
 all: check
 
@@ -36,6 +36,24 @@ audit:
 
 vet:
 	$(GO) vet ./...
+
+# suite-smoke is the scaled-down end-to-end suite through cmd/experiments,
+# cold and then warm against one run cache: the warm pass must print
+# byte-identical tables and be pure hits — its run-cache line on stderr
+# must report 0 misses and 0 stored, so a warm pass that re-simulated
+# fails even when its output matches.
+suite-smoke:
+	rm -rf /tmp/frontsim-suite-smoke && mkdir -p /tmp/frontsim-suite-smoke
+	$(GO) build -o /tmp/frontsim-suite-smoke/experiments ./cmd/experiments
+	/tmp/frontsim-suite-smoke/experiments -n 3 -warmup 100000 -instrs 300000 -profile 400000 \
+		-cache /tmp/frontsim-suite-smoke/cache -quiet > /tmp/frontsim-suite-smoke/cold.txt
+	/tmp/frontsim-suite-smoke/experiments -n 3 -warmup 100000 -instrs 300000 -profile 400000 \
+		-cache /tmp/frontsim-suite-smoke/cache > /tmp/frontsim-suite-smoke/warm.txt \
+		2> /tmp/frontsim-suite-smoke/warm.err
+	diff /tmp/frontsim-suite-smoke/cold.txt /tmp/frontsim-suite-smoke/warm.txt
+	grep -Eq '^run cache: [0-9]+ hits, 0 misses, 0 stored' /tmp/frontsim-suite-smoke/warm.err \
+		|| { echo "FAIL: warm pass was not pure cache hits"; cat /tmp/frontsim-suite-smoke/warm.err; exit 1; }
+	@echo "suite-smoke: warm pass pure hits and byte-identical to the cold pass"
 
 # obs-smoke proves observation is purely observational end to end: the
 # same short run with and without -obs must print byte-identical JSON
@@ -179,4 +197,4 @@ cover:
 	$(GO) test -count=1 -coverprofile=/tmp/frontsim-cover.out -covermode=atomic ./internal/...
 	$(GO) tool cover -func=/tmp/frontsim-cover.out | tail -1
 
-check: vet build lint-strict race audit obs-smoke ff-smoke serve-smoke prefetch-smoke sampling-smoke
+check: vet build lint-strict race audit suite-smoke obs-smoke ff-smoke serve-smoke prefetch-smoke sampling-smoke

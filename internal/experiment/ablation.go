@@ -15,47 +15,6 @@ import (
 	"frontsim/internal/workload"
 )
 
-// baseSimKey is the cache identity of a run of cfg against the workload's
-// unmodified program.
-func baseSimKey(spec workload.Spec, p Params, c core.Config) simKey {
-	return simKey{Schema: cacheSchema, Kind: "sim", Workload: spec,
-		Program: progBase, Config: c.Fingerprint(), ExecSeed: spec.Seed ^ p.ExecSeedSalt}
-}
-
-// runCachedSim executes one configuration against prog, consulting and
-// filling p.Cache under key.
-func runCachedSim(p Params, key simKey, c core.Config, prog *program.Program) (core.Stats, error) {
-	var st core.Stats
-	if ok, err := p.Cache.Get(key, &st); err != nil {
-		return st, err
-	} else if ok {
-		p.obsRecord(&st, key.Workload.Name, c.Name)
-		return st, nil
-	}
-	return runLiveSim(p, key, c, prog, c.Name)
-}
-
-// runLiveSim simulates a cache-missed configuration through runColdCell,
-// the path every matrix and sweep cell takes, and caches it under key;
-// series keys the obs hooks.
-func runLiveSim(p Params, key simKey, c core.Config, prog *program.Program, series string) (core.Stats, error) {
-	var st core.Stats
-	err := runColdCell(p, prog, key.ExecSeed, coldCell{
-		cfg: c,
-		wl:  key.Workload.Name, series: series,
-		label: key.Workload.Name + " " + series,
-		commit: func(s core.Stats) error {
-			st = s
-			if err := p.Cache.Put(key, s); err != nil {
-				return err
-			}
-			p.obsRecord(&s, key.Workload.Name, series)
-			return nil
-		},
-	})
-	return st, err
-}
-
 // ipcCell renders a table IPC cell. Exact runs print the plain value;
 // sampled runs append the 95% confidence half-width on the IPC estimate,
 // so every ablation table carries its uncertainty when sampling is on.
@@ -84,64 +43,44 @@ func speedupCell(st, base core.Stats) string {
 }
 
 // sweep runs one configuration grid — cells[si][ci] for spec si and
-// configuration ci — through the runner pool. Each spec's cells are
-// probed against the cache first (warm cells are recorded immediately; a
-// fully warm spec skips even building its program); the cold remainder
-// runs as one stealable job per cell.
+// machine configuration ci — through the runner pool. Each spec's cells
+// are probed against the cache first (warm cells are recorded
+// immediately; a fully warm spec skips even building its program); the
+// cold remainder runs as one stealable job per cell.
 // mkCfg must be pure: it is called once per cell on an arbitrary worker.
 func sweep(specs []workload.Spec, nCfg int, p Params, mkCfg func(spec workload.Spec, ci int) core.Config) ([][]core.Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	ctx := uncancelled()
 	pool := runner.NewPool(p.Parallelism)
 	defer pool.Close()
 	out := make([][]core.Stats, len(specs))
 	g := pool.NewGroup()
 	for si, spec := range specs {
-		si, spec := si, spec
 		out[si] = make([]core.Stats, nCfg)
 		g.Go(func() error {
-			var cells []coldCell
-			for ci := 0; ci < nCfg; ci++ {
-				ci := ci
-				c := mkCfg(spec, ci)
-				c.Audit = p.Audit
-				c.FastForward = p.FastForward
-				c.Sampling = p.Sampling
-				key := baseSimKey(spec, p, c)
-				var st core.Stats
-				if ok, err := p.Cache.Get(key, &st); err != nil {
+			var cold []*Cell
+			for ci := range out[si] {
+				c, err := ConfigCell(spec, mkCfg(spec, ci), p)
+				if err != nil {
 					return err
-				} else if ok {
-					p.obsRecord(&st, spec.Name, c.Name)
-					out[si][ci] = st
-					continue
 				}
-				cells = append(cells, coldCell{
-					cfg: c,
-					wl:  spec.Name, series: c.Name,
-					label: fmt.Sprintf("%s cell %d", spec.Name, ci),
-					commit: func(st core.Stats) error {
-						out[si][ci] = st
-						if err := p.Cache.Put(key, st); err != nil {
-							return err
-						}
-						p.obsRecord(&st, spec.Name, c.Name)
-						return nil
-					},
-				})
+				c.out = &out[si][ci]
+				if ok, err := c.load(); err != nil {
+					return err
+				} else if !ok {
+					cold = append(cold, c)
+				}
 			}
-			if len(cells) == 0 {
+			if len(cold) == 0 {
 				return nil
 			}
 			prog, err := spec.Build()
 			if err != nil {
 				return err
 			}
-			execSeed := spec.Seed ^ p.ExecSeedSalt
-			sub := pool.NewGroup()
-			dispatchCells(sub, p, prog, execSeed, cells)
-			return sub.Wait()
+			return runCells(ctx, pool, &inputs{prog: prog}, cold)
 		})
 	}
 	if err := g.Wait(); err != nil {
@@ -158,7 +97,6 @@ func AblationFTQDepth(specs []workload.Spec, depths []int, p Params) (*stats.Tab
 		c := core.DefaultConfig()
 		c.Name = fmt.Sprintf("ftq%d", depths[ci])
 		c.Frontend.FTQEntries = depths[ci]
-		c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
 		return c
 	})
 	if err != nil {
@@ -199,58 +137,54 @@ func AblationFanout(specs []workload.Spec, thresholds []float64, p Params) (*sta
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	type cell struct {
+	type point struct {
 		speedup string // rendered by speedupCell (carries ± when sampled)
 		bloat   float64
 	}
-	res := make([][]cell, len(specs))
+	res := make([][]point, len(specs))
+	ctx := uncancelled()
 	pool := runner.NewPool(p.Parallelism)
 	defer pool.Close()
 	g := pool.NewGroup()
 	for si, spec := range specs {
-		si, spec := si, spec
-		res[si] = make([]cell, len(thresholds))
+		res[si] = make([]point, len(thresholds))
 		g.Go(func() error {
 			prog, err := spec.Build()
 			if err != nil {
 				return err
 			}
-			mk := func() core.Config {
-				c := core.DefaultConfig()
-				c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
-				c.Audit = p.Audit
-				c.FastForward = p.FastForward
-				c.Sampling = p.Sampling
-				return c
-			}
-			base, err := runCachedSim(p, baseSimKey(spec, p, mk()), mk(), prog)
+			base, err := ConfigCell(spec, core.DefaultConfig(), p)
 			if err != nil {
 				return err
 			}
-			seed := spec.Seed ^ p.ExecSeedSalt
-			graph, err := cfg.Profile(trace.NewLimit(program.NewExecutor(prog, seed), p.ProfileInstrs), cfg.Options{IPC: base.IPC()})
+			var baseSt core.Stats
+			base.out = &baseSt
+			if ok, err := base.load(); err != nil {
+				return err
+			} else if !ok {
+				if err := base.run(ctx, &inputs{prog: prog}); err != nil {
+					return err
+				}
+			}
+			graph, err := cfg.Profile(trace.NewLimit(program.NewExecutor(prog, base.key.ExecSeed), p.ProfileInstrs), cfg.Options{IPC: baseSt.IPC()})
 			if err != nil {
 				return err
 			}
-			fdpFP := mk().Fingerprint()
 			sub := pool.NewGroup()
 			for ti, th := range thresholds {
-				ti, th := ti, th
 				sub.Go(func() error {
 					opts := p.AsmDB
 					opts.FanoutThreshold = th
-					key := baseSimKey(spec, p, mk())
-					key.Program = progAsmdb
-					key.AsmDB = &opts
-					key.ProfileInstrs = p.ProfileInstrs
-					key.ProfileConfig = fdpFP
-					series := fmt.Sprintf("fanout%.2f", th)
-					var st core.Stats
-					if ok, err := p.Cache.Get(key, &st); err != nil {
+					src := p.planKey(spec, opts, base.key.Config)
+					c, err := newCell(spec, fmt.Sprintf("fanout%.2f", th), core.DefaultConfig(), progAsmdb, &src, p)
+					if err != nil {
 						return err
-					} else if ok {
-						p.obsRecord(&st, spec.Name, series)
-					} else {
+					}
+					var st core.Stats
+					c.out = &st
+					if ok, err := c.load(); err != nil {
+						return err
+					} else if !ok {
 						plan, err := asmdb.Build(graph, opts)
 						if err != nil {
 							return err
@@ -259,11 +193,11 @@ func AblationFanout(specs []workload.Spec, thresholds []float64, p Params) (*sta
 						if err != nil {
 							return err
 						}
-						if st, err = runLiveSim(p, key, mk(), rw, series); err != nil {
+						if err := c.run(ctx, &inputs{rewritten: rw}); err != nil {
 							return err
 						}
 					}
-					res[si][ti] = cell{speedup: speedupCell(st, base), bloat: 100 * st.DynamicBloat()}
+					res[si][ti] = point{speedup: speedupCell(st, baseSt), bloat: 100 * st.DynamicBloat()}
 					return nil
 				})
 			}
@@ -295,7 +229,6 @@ func AblationBTB(specs []workload.Spec, l1Entries []int, p Params) (*stats.Table
 	res, err := sweep(specs, len(l1Entries), p, func(spec workload.Spec, ci int) core.Config {
 		c := core.DefaultConfig()
 		c.Frontend.BPU.L1BTBEntries = l1Entries[ci]
-		c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
 		return c
 	})
 	if err != nil {
@@ -331,7 +264,6 @@ func AblationWrongPath(specs []workload.Spec, depths []int, p Params) (*stats.Ta
 	res, err := sweep(specs, len(depths), p, func(spec workload.Spec, ci int) core.Config {
 		c := core.DefaultConfig()
 		c.Frontend.WrongPathDepth = depths[ci]
-		c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
 		return c
 	})
 	if err != nil {
@@ -363,7 +295,6 @@ func AblationReplacement(specs []workload.Spec, p Params) (*stats.Table, error) 
 	res, err := sweep(specs, len(policies), p, func(spec workload.Spec, ci int) core.Config {
 		c := core.DefaultConfig()
 		c.Memory.L1I.Repl = policies[ci]
-		c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
 		return c
 	})
 	if err != nil {
@@ -394,7 +325,6 @@ func AblationPredictor(specs []workload.Spec, p Params) (*stats.Table, error) {
 	res, err := sweep(specs, 2, p, func(spec workload.Spec, ci int) core.Config {
 		c := core.DefaultConfig()
 		c.Frontend.BPU.UseTAGE = ci == 1
-		c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
 		return c
 	})
 	if err != nil {
@@ -433,7 +363,6 @@ func AblationFrontend(specs []workload.Spec, p Params) (*stats.Table, error) {
 		c := core.DefaultConfig()
 		c.Frontend.EnablePFC = combos[ci].pfc
 		c.Frontend.BPU.FilterGHR = combos[ci].ghr
-		c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
 		return c
 	})
 	if err != nil {

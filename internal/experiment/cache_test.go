@@ -50,7 +50,7 @@ func cannedMatrix() *Matrix {
 		st.DRAMQueueing = 7
 	}
 	for id := seriesID(0); id < numSeries; id++ {
-		fill(m.seriesPtr(id), seriesLabels[id], 100_000+int64(id)*10_000)
+		fill(m.seriesPtr(id), seriesTable[id].label, 100_000+int64(id)*10_000)
 	}
 	// One sampled series pins the optional SamplingStats block's shape in
 	// the golden alongside the exact (nil) ones.
@@ -113,28 +113,32 @@ func TestCacheGoldenRoundTrip(t *testing.T) {
 	}
 	p := DefaultParams()
 	p.Cache = c
-	keys, err := newMatrixKeys(m.Spec, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := p.matrixPlan(m.Spec)
+	cells := make([]*Cell, numSeries)
 	for id := seriesID(0); id < numSeries; id++ {
-		if err := c.Put(keys.series[id], *m.seriesPtr(id)); err != nil {
+		cell, err := resolveSeries(m.Spec, id, p, plan)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := c.Put(cell.key, *m.seriesPtr(id)); err != nil {
+			t.Fatal(err)
+		}
+		cells[id] = cell
 	}
-	if err := c.Put(keys.plan, planEntry{Plan: m.Plan, StaticBloat: m.StaticBloat}); err != nil {
+	if err := c.Put(plan, planEntry{Plan: m.Plan, StaticBloat: m.StaticBloat}); err != nil {
 		t.Fatal(err)
 	}
 
 	got := &Matrix{Spec: m.Spec, Index: m.Index}
-	for id := seriesID(0); id < numSeries; id++ {
-		ok, err := c.Get(keys.series[id], got.seriesPtr(id))
+	for id, cell := range cells {
+		st, ok, err := cell.Probe()
 		if err != nil || !ok {
-			t.Fatalf("series %s: ok=%v err=%v", seriesLabels[id], ok, err)
+			t.Fatalf("series %s: ok=%v err=%v", cell.series, ok, err)
 		}
+		*got.seriesPtr(seriesID(id)) = st
 	}
 	var pe planEntry
-	if ok, err := c.Get(keys.plan, &pe); err != nil || !ok {
+	if ok, err := c.Get(plan, &pe); err != nil || !ok {
 		t.Fatalf("plan: ok=%v err=%v", ok, err)
 	}
 	got.Plan, got.StaticBloat = pe.Plan, pe.StaticBloat
@@ -198,7 +202,7 @@ func TestMatrixWarmCacheByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a, b) {
-			t.Errorf("series %s differs warm vs cold:\n cold %s\n warm %s", seriesLabels[id], a, b)
+			t.Errorf("series %s differs warm vs cold:\n cold %s\n warm %s", seriesTable[id].label, a, b)
 		}
 	}
 	ca, wa := []*Matrix{cold}, []*Matrix{warm}

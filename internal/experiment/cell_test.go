@@ -45,7 +45,7 @@ func TestCellMatchesSuite(t *testing.T) {
 	pool := runner.NewPool(2)
 	defer pool.Close()
 	for id := seriesID(0); id < numSeries; id++ {
-		label := seriesLabels[id]
+		label := seriesTable[id].label
 		res, err := RunCellCtx(context.Background(), pool, spec, label, p)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -103,12 +103,13 @@ func TestColdCellMatchesSuite(t *testing.T) {
 
 	// Both paths must also agree on the cell's content address, i.e. they
 	// wrote the same cache entry.
-	addr, err := CellAddress(spec, "asmdb+fdp24", cellP)
+	cell, err := SeriesCell(spec, "asmdb+fdp24", cellP)
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr := cell.Address()
 	if addr != res.Fingerprint {
-		t.Fatalf("CellAddress %s != RunCellCtx fingerprint %s", addr, res.Fingerprint)
+		t.Fatalf("resolved address %s != RunCellCtx fingerprint %s", addr, res.Fingerprint)
 	}
 	entry := filepath.Join(suiteP.Cache.Dir(), addr[:2], addr+".json")
 	if _, err := os.Stat(entry); err != nil {
@@ -167,10 +168,11 @@ func TestCancelledCellNeverCached(t *testing.T) {
 	t.Run("mid-run", func(t *testing.T) {
 		dir := t.TempDir()
 		p := cellParams(t, dir)
-		addr, err := CellAddress(spec, "asmdb+fdp24", p)
+		cell, err := SeriesCell(spec, "asmdb+fdp24", p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		addr := cell.Address()
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			time.Sleep(30 * time.Millisecond)

@@ -18,18 +18,16 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"frontsim/internal/asmdb"
 	"frontsim/internal/bpu"
 	"frontsim/internal/cache"
-	"frontsim/internal/cfg"
 	"frontsim/internal/core"
 	"frontsim/internal/hwpf"
 	"frontsim/internal/obs"
-	"frontsim/internal/program"
 	"frontsim/internal/runner"
-	"frontsim/internal/trace"
 	"frontsim/internal/workload"
 )
 
@@ -92,15 +90,14 @@ type Params struct {
 	Sampling core.SamplingConfig
 }
 
-// obsRecord exports one cell's metrics to the suite collector.
-func (p Params) obsRecord(st *core.Stats, wl, series string) {
-	if p.Obs == nil {
-		return
-	}
-	p.Obs.Record(st.MetricSet(
-		obs.Label{Key: "workload", Value: wl},
-		obs.Label{Key: "series", Value: series},
-	))
+// stamp applies p's budgets and run modes to a machine configuration.
+// Every cell's config passes through it when the cell is resolved.
+func (p Params) stamp(c core.Config) core.Config {
+	c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
+	c.Audit = p.Audit
+	c.FastForward = p.FastForward
+	c.Sampling = p.Sampling
+	return c
 }
 
 // DefaultParams returns the scaled-down defaults.
@@ -159,54 +156,82 @@ func (m *Matrix) Speedup(st core.Stats) float64 {
 	return st.IPC() / m.Cons.IPC()
 }
 
-// seriesID indexes the ten per-workload configurations.
+// series is one row of the per-workload series table: the machine it
+// simulates, the program variant it runs, and the Matrix field it fills.
+// Budgets and run modes come from Params when a cell is resolved.
+type series struct {
+	label   string // names the series in cache keys, obs and progress
+	machine func() (core.Config, error)
+	program string // progBase, progAsmdb or progTriggers
+	stats   func(*Matrix) *core.Stats
+}
+
+// seriesTable lists the ten series in suite order. Its base-program rows
+// are the mechanism registry (Mechanisms); the others run the AsmDB plan,
+// profiled on the conservative baseline, on one of the two FTQ shapes.
+var seriesTable = [...]series{
+	{"cons", consMachine, progBase, func(m *Matrix) *core.Stats { return &m.Cons }},
+	{"fdp24", fdpMachine, progBase, func(m *Matrix) *core.Stats { return &m.FDP }},
+	{"eip+fdp24", eipMachine, progBase, func(m *Matrix) *core.Stats { return &m.EIPFDP }},
+	{"asmdb+cons", consMachine, progAsmdb, func(m *Matrix) *core.Stats { return &m.AsmdbCons }},
+	{"asmdb-ideal+cons", consMachine, progTriggers, func(m *Matrix) *core.Stats { return &m.AsmdbConsIdeal }},
+	{"asmdb+fdp24", fdpMachine, progAsmdb, func(m *Matrix) *core.Stats { return &m.AsmdbFDP }},
+	{"asmdb-ideal+fdp24", fdpMachine, progTriggers, func(m *Matrix) *core.Stats { return &m.AsmdbFDPIdeal }},
+	{"mana+fdp24", manaMachine, progBase, func(m *Matrix) *core.Stats { return &m.MANAFDP }},
+	{"shadow+fdp24", shadowMachine, progBase, func(m *Matrix) *core.Stats { return &m.ShadowFDP }},
+	{"itlb+fdp24", itlbMachine, progBase, func(m *Matrix) *core.Stats { return &m.ITLBFDP }},
+}
+
+// seriesID indexes seriesTable.
 type seriesID int
 
 const (
-	serCons seriesID = iota
-	serFDP
-	serEIP
-	serAsmdbCons
-	serAsmdbConsIdeal
-	serAsmdbFDP
-	serAsmdbFDPIdeal
-	serMANAFDP
-	serShadowFDP
-	serITLBFDP
-	numSeries
+	serCons   seriesID = 0 // the profiling baseline of every plan-derived series
+	numSeries          = seriesID(len(seriesTable))
 )
 
-// seriesLabels name the series in cache keys and progress lines.
-var seriesLabels = [numSeries]string{
-	"cons", "fdp24", "eip+fdp24",
-	"asmdb+cons", "asmdb-ideal+cons", "asmdb+fdp24", "asmdb-ideal+fdp24",
-	"mana+fdp24", "shadow+fdp24", "itlb+fdp24",
+func (m *Matrix) seriesPtr(id seriesID) *core.Stats { return seriesTable[id].stats(m) }
+
+func consMachine() (core.Config, error) { return core.ConservativeConfig(), nil }
+
+func fdpMachine() (core.Config, error) { return core.DefaultConfig(), nil }
+
+// eipMachine layers the EIP hardware prefetcher on the FDP front-end.
+func eipMachine() (core.Config, error) {
+	c := core.DefaultConfig()
+	eip, err := hwpf.NewEIP(hwpf.DefaultEIPConfig())
+	if err != nil {
+		return c, err
+	}
+	c.Frontend.Prefetcher = eip
+	return c, nil
 }
 
-func (m *Matrix) seriesPtr(id seriesID) *core.Stats {
-	switch id {
-	case serCons:
-		return &m.Cons
-	case serFDP:
-		return &m.FDP
-	case serEIP:
-		return &m.EIPFDP
-	case serAsmdbCons:
-		return &m.AsmdbCons
-	case serAsmdbConsIdeal:
-		return &m.AsmdbConsIdeal
-	case serAsmdbFDP:
-		return &m.AsmdbFDP
-	case serAsmdbFDPIdeal:
-		return &m.AsmdbFDPIdeal
-	case serMANAFDP:
-		return &m.MANAFDP
-	case serShadowFDP:
-		return &m.ShadowFDP
-	case serITLBFDP:
-		return &m.ITLBFDP
+// manaMachine layers the MANA spatial-region prefetcher on the FDP
+// front-end.
+func manaMachine() (core.Config, error) {
+	c := core.DefaultConfig()
+	mana, err := hwpf.NewMANA(hwpf.DefaultMANAConfig())
+	if err != nil {
+		return c, err
 	}
-	panic(fmt.Sprintf("experiment: series %d", id))
+	c.Frontend.Prefetcher = mana
+	return c, nil
+}
+
+// shadowMachine enables shadow-branch decoding on the FDP front-end.
+func shadowMachine() (core.Config, error) {
+	c := core.DefaultConfig()
+	c.Frontend.Shadow = bpu.DefaultShadowConfig()
+	return c, nil
+}
+
+// itlbMachine enables the I-TLB model (with prefetch dropping) on the FDP
+// front-end.
+func itlbMachine() (core.Config, error) {
+	c := core.DefaultConfig()
+	c.Memory.ITLB = cache.DefaultITLBConfig()
+	return c, nil
 }
 
 // cacheSchema versions the run-cache key layout. Bump together with
@@ -269,113 +294,17 @@ type planEntry struct {
 	StaticBloat float64     `json:"static_bloat"`
 }
 
-// matrixKeys precomputes the cache identities of a workload's runs. All of
-// them are derivable before anything executes, which is what lets a fully
-// warm workload skip even building its program.
-type matrixKeys struct {
-	series [numSeries]simKey
-	plan   planKey
+// planKey returns the identity of the plan built with opts from a profile
+// seeded by the IPC of the configuration fingerprinted profileConfig.
+func (p Params) planKey(spec workload.Spec, opts asmdb.Options, profileConfig string) planKey {
+	return planKey{Schema: cacheSchema, Kind: "plan", Workload: spec, AsmDB: opts,
+		ProfileInstrs: p.ProfileInstrs, ProfileConfig: profileConfig, ExecSeed: spec.Seed ^ p.ExecSeedSalt}
 }
 
-func (p Params) consConfig() core.Config {
-	c := core.ConservativeConfig()
-	c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
-	c.Audit = p.Audit
-	c.FastForward = p.FastForward
-	c.Sampling = p.Sampling
-	return c
-}
-
-func (p Params) fdpConfig() core.Config {
-	c := core.DefaultConfig()
-	c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
-	c.Audit = p.Audit
-	c.FastForward = p.FastForward
-	c.Sampling = p.Sampling
-	return c
-}
-
-func (p Params) eipConfig() (core.Config, error) {
-	c := p.fdpConfig()
-	eip, err := hwpf.NewEIP(hwpf.DefaultEIPConfig())
-	if err != nil {
-		return c, err
-	}
-	c.Frontend.Prefetcher = eip
-	return c, nil
-}
-
-// manaConfig layers the MANA spatial-region prefetcher on the FDP
-// front-end, mirroring eipConfig's shape for the hardware comparator.
-func (p Params) manaConfig() (core.Config, error) {
-	c := p.fdpConfig()
-	mana, err := hwpf.NewMANA(hwpf.DefaultMANAConfig())
-	if err != nil {
-		return c, err
-	}
-	c.Frontend.Prefetcher = mana
-	return c, nil
-}
-
-// shadowConfig enables shadow-branch decoding on the FDP front-end.
-func (p Params) shadowConfig() core.Config {
-	c := p.fdpConfig()
-	c.Frontend.Shadow = bpu.DefaultShadowConfig()
-	return c
-}
-
-// itlbConfig enables the I-TLB model (with prefetch dropping) on the FDP
-// front-end.
-func (p Params) itlbConfig() core.Config {
-	c := p.fdpConfig()
-	c.Memory.ITLB = cache.DefaultITLBConfig()
-	return c
-}
-
-func newMatrixKeys(spec workload.Spec, p Params) (matrixKeys, error) {
-	eipCfg, err := p.eipConfig()
-	if err != nil {
-		return matrixKeys{}, err
-	}
-	manaCfg, err := p.manaConfig()
-	if err != nil {
-		return matrixKeys{}, err
-	}
-	consFP := p.consConfig().Fingerprint()
-	fdpFP := p.fdpConfig().Fingerprint()
-	eipFP := eipCfg.Fingerprint()
-	manaFP := manaCfg.Fingerprint()
-	shadowFP := p.shadowConfig().Fingerprint()
-	itlbFP := p.itlbConfig().Fingerprint()
-	seed := spec.Seed ^ p.ExecSeedSalt
-	opts := p.AsmDB
-
-	base := func(cfgFP string) simKey {
-		return simKey{Schema: cacheSchema, Kind: "sim", Workload: spec,
-			Program: progBase, Config: cfgFP, ExecSeed: seed}
-	}
-	planned := func(prog, cfgFP string) simKey {
-		k := base(cfgFP)
-		k.Program = prog
-		k.AsmDB = &opts
-		k.ProfileInstrs = p.ProfileInstrs
-		k.ProfileConfig = consFP
-		return k
-	}
-	var mk matrixKeys
-	mk.series[serCons] = base(consFP)
-	mk.series[serFDP] = base(fdpFP)
-	mk.series[serEIP] = base(eipFP)
-	mk.series[serAsmdbCons] = planned(progAsmdb, consFP)
-	mk.series[serAsmdbConsIdeal] = planned(progTriggers, consFP)
-	mk.series[serAsmdbFDP] = planned(progAsmdb, fdpFP)
-	mk.series[serAsmdbFDPIdeal] = planned(progTriggers, fdpFP)
-	mk.series[serMANAFDP] = base(manaFP)
-	mk.series[serShadowFDP] = base(shadowFP)
-	mk.series[serITLBFDP] = base(itlbFP)
-	mk.plan = planKey{Schema: cacheSchema, Kind: "plan", Workload: spec,
-		AsmDB: opts, ProfileInstrs: p.ProfileInstrs, ProfileConfig: consFP, ExecSeed: seed}
-	return mk, nil
+// matrixPlan is the identity of the matrix's AsmDB plan: p.AsmDB,
+// profiled on the conservative baseline.
+func (p Params) matrixPlan(spec workload.Spec) planKey {
+	return p.planKey(spec, p.AsmDB, p.stamp(core.ConservativeConfig()).Fingerprint())
 }
 
 // RunMatrix builds the workload, profiles it, generates and applies the
@@ -387,156 +316,53 @@ func RunMatrix(spec workload.Spec, index int, p Params) (*Matrix, error) {
 	}
 	pool := runner.NewPool(p.Parallelism)
 	defer pool.Close()
-	return runMatrixPooled(pool, spec, index, p, nil)
+	return runMatrixPooled(uncancelled(), pool, spec, index, p, nil)
 }
 
 // runMatrixPooled executes one workload's matrix on a shared pool. It
 // probes the cache for every series first; whatever is missing runs as
-// per-configuration jobs in two fork-join waves (plain-program runs, then
-// plan-derived runs, which need the baseline IPC to profile against).
-func runMatrixPooled(pool *runner.Pool, spec workload.Spec, index int, p Params, pr *runner.Progress) (*Matrix, error) {
+// one job per cell in two fork-join waves: base-program cells, then
+// plan-derived cells, whose plan is profiled on the conservative
+// baseline's IPC.
+func runMatrixPooled(ctx context.Context, pool *runner.Pool, spec workload.Spec, index int, p Params, pr *runner.Progress) (*Matrix, error) {
 	m := &Matrix{Spec: spec, Index: index}
-	keys, err := newMatrixKeys(spec, p)
+	plan := p.matrixPlan(spec)
+	var waves [2][]*Cell
+	for id := range seriesTable {
+		c, err := resolveSeries(spec, seriesID(id), p, plan)
+		if err != nil {
+			return nil, err
+		}
+		c.out, c.progress = m.seriesPtr(seriesID(id)), pr
+		if ok, err := c.load(); err != nil {
+			return nil, err
+		} else if !ok && c.key.Program == progBase {
+			waves[0] = append(waves[0], c)
+		} else if !ok {
+			waves[1] = append(waves[1], c)
+		}
+	}
+	in := &inputs{}
+	if len(waves[0])+len(waves[1]) > 0 {
+		prog, err := spec.Build()
+		if err != nil {
+			return nil, err
+		}
+		in.prog = prog
+	}
+	if err := runCells(ctx, pool, in, waves[0]); err != nil {
+		return nil, err
+	}
+	pe, err := p.plan(ctx, spec, plan, in, func() (float64, error) { return m.Cons.IPC(), nil })
 	if err != nil {
 		return nil, err
 	}
-
-	var have [numSeries]bool
-	missing := 0
-	for id := seriesID(0); id < numSeries; id++ {
-		ok, err := p.Cache.Get(keys.series[id], m.seriesPtr(id))
-		if err != nil {
-			return nil, err
-		}
-		have[id] = ok
-		if ok {
-			p.obsRecord(m.seriesPtr(id), spec.Name, seriesLabels[id])
-			pr.JobDone(spec.Name+"/"+seriesLabels[id], true)
-		} else {
-			missing++
-		}
-	}
-	var pe planEntry
-	havePlan, err := p.Cache.Get(keys.plan, &pe)
-	if err != nil {
+	m.Plan, m.StaticBloat = pe.Plan, pe.StaticBloat
+	if err := in.applyPlan(spec, pe.Plan, waves[1]); err != nil {
 		return nil, err
 	}
-	if havePlan {
-		m.Plan, m.StaticBloat = pe.Plan, pe.StaticBloat
-	}
-	if havePlan && missing == 0 {
-		return m, nil
-	}
-
-	prog, err := spec.Build()
-	if err != nil {
+	if err := runCells(ctx, pool, in, waves[1]); err != nil {
 		return nil, err
-	}
-	execSeed := spec.Seed ^ p.ExecSeedSalt
-
-	// seriesCell wraps one cold series as a coldCell; its commit stores
-	// the result, caches it, and reports it to obs and progress.
-	seriesCell := func(id seriesID, c core.Config) coldCell {
-		return coldCell{
-			cfg: c,
-			wl:  spec.Name, series: seriesLabels[id],
-			label: spec.Name + " " + seriesLabels[id],
-			commit: func(st core.Stats) error {
-				*m.seriesPtr(id) = st
-				if err := p.Cache.Put(keys.series[id], st); err != nil {
-					return err
-				}
-				p.obsRecord(&st, spec.Name, seriesLabels[id])
-				pr.JobDone(spec.Name+"/"+seriesLabels[id], false)
-				return nil
-			},
-		}
-	}
-
-	// Wave 1: runs against the unmodified program. The conservative
-	// baseline doubles as the profiling IPC source, as the paper profiles
-	// on the pre-FDP machine AsmDB's authors evaluated.
-	g := pool.NewGroup()
-	var w1 []coldCell
-	if !have[serCons] {
-		w1 = append(w1, seriesCell(serCons, p.consConfig()))
-	}
-	if !have[serFDP] {
-		w1 = append(w1, seriesCell(serFDP, p.fdpConfig()))
-	}
-	if !have[serEIP] {
-		c, err := p.eipConfig()
-		if err != nil {
-			return nil, err
-		}
-		w1 = append(w1, seriesCell(serEIP, c))
-	}
-	if !have[serMANAFDP] {
-		c, err := p.manaConfig()
-		if err != nil {
-			return nil, err
-		}
-		w1 = append(w1, seriesCell(serMANAFDP, c))
-	}
-	if !have[serShadowFDP] {
-		w1 = append(w1, seriesCell(serShadowFDP, p.shadowConfig()))
-	}
-	if !have[serITLBFDP] {
-		w1 = append(w1, seriesCell(serITLBFDP, p.itlbConfig()))
-	}
-	dispatchCells(g, p, prog, execSeed, w1)
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-
-	needPlanned := !have[serAsmdbCons] || !have[serAsmdbConsIdeal] ||
-		!have[serAsmdbFDP] || !have[serAsmdbFDPIdeal]
-	if !havePlan {
-		graph, err := cfg.Profile(trace.NewLimit(program.NewExecutor(prog, execSeed), p.ProfileInstrs),
-			cfg.Options{IPC: m.Cons.IPC()})
-		if err != nil {
-			return nil, fmt.Errorf("%s profile: %w", spec.Name, err)
-		}
-		if m.Plan, err = asmdb.Build(graph, p.AsmDB); err != nil {
-			return nil, fmt.Errorf("%s plan: %w", spec.Name, err)
-		}
-		m.StaticBloat = m.Plan.StaticBloat(prog)
-		if err := p.Cache.Put(keys.plan, planEntry{Plan: m.Plan, StaticBloat: m.StaticBloat}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Wave 2: runs that need the plan — the rewritten program for the
-	// insertion-overhead series, the trigger table for the ideal ones.
-	if needPlanned {
-		rewritten, _, err := asmdb.Apply(prog, m.Plan)
-		if err != nil {
-			return nil, fmt.Errorf("%s apply: %w", spec.Name, err)
-		}
-		triggers := asmdb.Triggers(prog, m.Plan)
-		withTriggers := func(c core.Config) core.Config {
-			c.Triggers = triggers
-			return c
-		}
-		g = pool.NewGroup()
-		var rw, trg []coldCell
-		if !have[serAsmdbCons] {
-			rw = append(rw, seriesCell(serAsmdbCons, p.consConfig()))
-		}
-		if !have[serAsmdbFDP] {
-			rw = append(rw, seriesCell(serAsmdbFDP, p.fdpConfig()))
-		}
-		if !have[serAsmdbConsIdeal] {
-			trg = append(trg, seriesCell(serAsmdbConsIdeal, withTriggers(p.consConfig())))
-		}
-		if !have[serAsmdbFDPIdeal] {
-			trg = append(trg, seriesCell(serAsmdbFDPIdeal, withTriggers(p.fdpConfig())))
-		}
-		dispatchCells(g, p, rewritten, execSeed, rw)
-		dispatchCells(g, p, prog, execSeed, trg)
-		if err := g.Wait(); err != nil {
-			return nil, err
-		}
 	}
 	return m, nil
 }
@@ -565,7 +391,7 @@ func RunSuiteMonitor(specs []workload.Spec, p Params, progress, jobProgress func
 	for i, spec := range specs {
 		i, spec := i, spec
 		g.Go(func() error {
-			m, err := runMatrixPooled(pool, spec, i+1, p, pr)
+			m, err := runMatrixPooled(uncancelled(), pool, spec, i+1, p, pr)
 			out[i], errs[i] = m, err
 			if progress != nil {
 				if err != nil {

@@ -171,7 +171,7 @@ func TestRunSuiteDeterminismAcrossParallelism(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(sa, sb) {
-				t.Fatalf("series %s of %s differs across parallelism", seriesLabels[id], serial[i].Spec.Name)
+				t.Fatalf("series %s of %s differs across parallelism", seriesTable[id].label, serial[i].Spec.Name)
 			}
 		}
 	}

@@ -62,7 +62,7 @@ func TestFastForwardEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(off, on) {
-			t.Errorf("%s: stats diverge under fast-forward:\ncycle-by-cycle: %s\nfast-forward:   %s", seriesLabels[id], off, on)
+			t.Errorf("%s: stats diverge under fast-forward:\ncycle-by-cycle: %s\nfast-forward:   %s", seriesTable[id].label, off, on)
 		}
 	}
 }
@@ -113,20 +113,20 @@ func TestStaleSchemaEntryRejected(t *testing.T) {
 	if !ok {
 		t.Fatal("suite workload missing")
 	}
-	keys, err := newMatrixKeys(spec, p)
+	fdp, err := SeriesCell(spec, "fdp24", p)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Write the FDP cell exactly as a schema-5 binary would have keyed it.
-	stale := keys.series[serFDP]
+	stale := fdp.key
 	stale.Schema = 5
 	if err := c.Put(stale, core.Stats{Config: "stale-schema-5"}); err != nil {
 		t.Fatal(err)
 	}
 
 	var got core.Stats
-	hit, err := c.Get(keys.series[serFDP], &got)
+	hit, err := c.Get(fdp.key, &got)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,38 +16,30 @@ import (
 // instances carry learned state, so sharing one across runs would leak it).
 type Mechanism struct {
 	// Label names the mechanism in tables, cache-series labels and test
-	// output. It matches the matrix series label where one exists.
+	// output. It matches the matrix series label.
 	Label string
-	// Config builds the mechanism's machine configuration from the
-	// sweep's budgets. Audit/FastForward are overridden by the caller.
+	// Config builds the mechanism's machine configuration, stamped with
+	// p's budgets and run modes.
 	Config func(p Params) (core.Config, error)
 }
 
-// Mechanisms returns the characterization-matrix registry: every prefetch
-// mechanism the simulator models, each layered on the machine it is
-// evaluated on in EXPERIMENTS.md. The two FTQ baselines lead so speedups
-// can be read against them; the order is stable and tests index into it.
+// Mechanisms returns the characterization-matrix registry: the base-program
+// rows of the series table, each a prefetch mechanism the simulator
+// models layered on the machine it is evaluated on in EXPERIMENTS.md. The
+// two FTQ baselines lead so speedups can be read against them; the order
+// is stable and tests index into it.
 func Mechanisms() []Mechanism {
-	return []Mechanism{
-		{Label: "cons", Config: func(p Params) (core.Config, error) {
-			return p.consConfig(), nil
-		}},
-		{Label: "fdp24", Config: func(p Params) (core.Config, error) {
-			return p.fdpConfig(), nil
-		}},
-		{Label: "eip+fdp24", Config: func(p Params) (core.Config, error) {
-			return p.eipConfig()
-		}},
-		{Label: "mana+fdp24", Config: func(p Params) (core.Config, error) {
-			return p.manaConfig()
-		}},
-		{Label: "shadow+fdp24", Config: func(p Params) (core.Config, error) {
-			return p.shadowConfig(), nil
-		}},
-		{Label: "itlb+fdp24", Config: func(p Params) (core.Config, error) {
-			return p.itlbConfig(), nil
-		}},
+	var out []Mechanism
+	for _, row := range seriesTable {
+		if row.program != progBase {
+			continue
+		}
+		out = append(out, Mechanism{Label: row.label, Config: func(p Params) (core.Config, error) {
+			c, err := row.machine()
+			return p.stamp(c), err
+		}})
 	}
+	return out
 }
 
 // AblationMechanism runs every mechanism over every workload and reports

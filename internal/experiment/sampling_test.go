@@ -33,29 +33,22 @@ func TestSamplingCacheDisjoint(t *testing.T) {
 		t.Fatal("workload missing")
 	}
 	exact, sampled := tinyParams(), sampledParams()
-	ke, err := newMatrixKeys(spec, exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ks, err := newMatrixKeys(spec, sampled)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seen := map[string]bool{}
-	for id := seriesID(0); id < numSeries; id++ {
-		fe, err := runner.Fingerprint(ke.series[id])
+	for _, label := range SeriesLabels() {
+		ce, err := SeriesCell(spec, label, exact)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs, err := runner.Fingerprint(ks.series[id])
+		cs, err := SeriesCell(spec, label, sampled)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fe, fs := ce.Address(), cs.Address()
 		if fe == fs {
-			t.Fatalf("series %s: sampled and exact cells share cache address %s", seriesLabels[id], fe)
+			t.Fatalf("series %s: sampled and exact cells share cache address %s", label, fe)
 		}
 		if seen[fe] || seen[fs] {
-			t.Fatalf("series %s: duplicate cache address", seriesLabels[id])
+			t.Fatalf("series %s: duplicate cache address", label)
 		}
 		seen[fe], seen[fs] = true, true
 	}
@@ -133,7 +126,7 @@ func TestSamplingConformance(t *testing.T) {
 			}
 			if !bytes.Equal(a, b) {
 				t.Errorf("%s: series %s differs from %s:\n %s\n %s",
-					cb.name, seriesLabels[id], combos[0].name, b, a)
+					cb.name, seriesTable[id].label, combos[0].name, b, a)
 			}
 		}
 		if !reflect.DeepEqual(ref.Plan, m.Plan) {
@@ -205,7 +198,11 @@ func TestLongTierSampledRun(t *testing.T) {
 	p.Cache = c
 	pool := runner.NewPool(2)
 	defer pool.Close()
-	res, err := RunConfigCellCtx(context.Background(), pool, spec, p.fdpConfig(), p)
+	cell, err := ConfigCell(spec, core.DefaultConfig(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cell.Run(context.Background(), pool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,6 +73,27 @@ func TestPaperShapesOnServerWorkloads(t *testing.T) {
 		t.Errorf("ideal AsmDB+FDP (%.3f) should exceed FDP alone (%.3f)", idealFDP, fdp)
 	}
 
+	// Shape 6 (A8, EXPERIMENTS.md): EIP's record/replay is the strongest
+	// mechanism on FDP and MANA's spatial regions a clear gain over FDP;
+	// shadow-branch decoding fills the BTB, not the cache, so it cannot
+	// beat FDP alone, and the I-TLB is a cost model.
+	eip := geo(func(m *Matrix) float64 { return m.Speedup(m.EIPFDP) })
+	mana := geo(func(m *Matrix) float64 { return m.Speedup(m.MANAFDP) })
+	shadow := geo(func(m *Matrix) float64 { return m.Speedup(m.ShadowFDP) })
+	itlb := geo(func(m *Matrix) float64 { return m.Speedup(m.ITLBFDP) })
+	if eip < mana {
+		t.Errorf("EIP+FDP (%.3f) should be at least MANA+FDP (%.3f)", eip, mana)
+	}
+	if mana <= fdp {
+		t.Errorf("MANA+FDP (%.3f) should beat FDP alone (%.3f)", mana, fdp)
+	}
+	if shadow > fdp {
+		t.Errorf("shadow+FDP (%.3f) should not beat FDP alone (%.3f)", shadow, fdp)
+	}
+	if itlb > fdp {
+		t.Errorf("I-TLB+FDP (%.3f) should not beat FDP alone (%.3f)", itlb, fdp)
+	}
+
 	// Scenario-statistics shapes (Figs 8-11 directions).
 	for _, m := range ms {
 		if m.FDP.FTQ.AvgHeadFetch() <= m.FDP.FTQ.AvgNonHeadFetch() {

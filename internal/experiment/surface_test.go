@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"context"
 	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"frontsim/internal/core"
 	"frontsim/internal/obs"
 	"frontsim/internal/runner"
 	"frontsim/internal/workload"
@@ -24,13 +26,13 @@ func (s *closeCountingSink) SampleStride() int64 { return 4096 }
 func (s *closeCountingSink) Close() error        { s.closes.Add(1); return nil }
 
 // TestEvaluationSurfaceAudited runs the whole evaluation surface — the
-// ten-series matrix and all eight ablations — once from a cold cache with
-// per-cycle audit and both observability hooks on. Audit panics on any
-// violated invariant. The test pins the per-run observer contract that
-// cmd/frontbench's suite_cold relies on to time cells: ObsRun is called
-// exactly once per live cell (one call per simulated cache entry, and
-// one per matrix series), and every sink it hands out is closed exactly
-// once.
+// ten-series matrix, all eight ablations and cold single cells — once
+// from a cold cache with per-cycle audit and both observability hooks on.
+// Audit panics on any violated invariant. The test pins the per-run
+// observer contract that cmd/frontbench's suite_cold relies on to time
+// cells: ObsRun is called exactly once per live cell (one call per
+// simulated cache entry, and one per matrix series), and every sink it
+// hands out is closed exactly once.
 func TestEvaluationSurfaceAudited(t *testing.T) {
 	spec, ok := workload.Lookup("public_srv_60")
 	if !ok {
@@ -89,6 +91,33 @@ func TestEvaluationSurfaceAudited(t *testing.T) {
 		if err := abl.run(); err != nil {
 			t.Fatalf("%s: %v", abl.name, err)
 		}
+	}
+
+	// Single cells keep the contract too: a plan-derived cell on a second
+	// workload runs its conservative dependency and itself live, and a
+	// config-override cell runs live once.
+	spec2, ok := workload.Lookup("secret_srv12")
+	if !ok {
+		t.Fatal("suite workload missing")
+	}
+	pool := runner.NewPool(2)
+	defer pool.Close()
+	before := len(sinks)
+	if _, err := RunCellCtx(context.Background(), pool, spec2, "asmdb+fdp24", p); err != nil {
+		t.Fatal(err)
+	}
+	ftq12 := core.DefaultConfig()
+	ftq12.Name = "ftq12"
+	ftq12.Frontend.FTQEntries = 12
+	cell, err := ConfigCell(spec, ftq12, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cell.Run(context.Background(), pool); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sinks) - before; n != 3 {
+		t.Errorf("single cells: ObsRun called %d times, want 3 (cons, asmdb+fdp24, ftq12)", n)
 	}
 
 	// Each live cell stores exactly one simulation entry, so the cache's

@@ -290,13 +290,14 @@ type errorBody struct {
 
 // --- request resolution --------------------------------------------------
 
-// preparedCell is a fully-resolved cell request: workload, execution
-// parameters, and either a suite series or an explicit configuration.
+// preparedCell is a fully-resolved cell request: the workload, the label
+// the response carries (a suite series, or a config-override cell's
+// config name), and the resolved experiment cell.
 type preparedCell struct {
 	spec   workload.Spec
-	series string      // non-empty: suite series cell
-	config core.Config // series == "": config-override cell
-	params experiment.Params
+	series string // suite series cell
+	config string // config-override cell
+	cell   *experiment.Cell
 	addr   string
 }
 
@@ -305,58 +306,55 @@ func (s *Server) prepare(req CellRequest) (*preparedCell, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown workload %q", req.Workload)
 	}
+	if req.TimeoutMs < 0 {
+		return nil, fmt.Errorf("timeout_ms %d is negative", req.TimeoutMs)
+	}
 	p := s.base
-	if req.WarmupInstrs > 0 {
+	if req.WarmupInstrs != 0 {
 		p.WarmupInstrs = req.WarmupInstrs
 	}
-	if req.MeasureInstrs > 0 {
+	if req.MeasureInstrs != 0 {
 		p.MeasureInstrs = req.MeasureInstrs
 	}
-	if req.ProfileInstrs > 0 {
+	if req.ProfileInstrs != 0 {
 		p.ProfileInstrs = req.ProfileInstrs
 	}
-	if req.SamplingInterval > 0 {
+	if req.SamplingInterval != 0 || req.SamplingDetail != 0 || req.SamplingWarm != 0 {
 		p.Sampling = core.SamplingConfig{
 			IntervalInstrs: req.SamplingInterval,
 			DetailInstrs:   req.SamplingDetail,
 			WarmInstrs:     req.SamplingWarm,
 		}
-		if err := p.Sampling.Validate(); err != nil {
-			return nil, err
-		}
 	}
-	pc := &preparedCell{spec: spec, params: p}
-
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	if err := applyAblation(&req); err != nil {
 		return nil, err
 	}
+	pc := &preparedCell{spec: spec}
+	var err error
 	if req.FTQ != 0 || req.DecodeWidth != 0 || req.NoPFC || req.HwPrefetcher != "" {
 		if req.Series != "" {
 			return nil, fmt.Errorf("series %q and config overrides are mutually exclusive", req.Series)
 		}
-		c, err := overrideConfig(req, p)
+		c, err := overrideConfig(req)
 		if err != nil {
 			return nil, err
 		}
-		pc.config = c
-		addr, err := experiment.ConfigCellAddress(spec, c, p)
-		if err != nil {
-			return nil, err
+		pc.config = c.Name
+		pc.cell, err = experiment.ConfigCell(spec, c, p)
+	} else {
+		pc.series = req.Series
+		if pc.series == "" {
+			pc.series = "fdp24"
 		}
-		pc.addr = addr
-		return pc, nil
+		pc.cell, err = experiment.SeriesCell(spec, pc.series, p)
 	}
-
-	series := req.Series
-	if series == "" {
-		series = "fdp24"
-	}
-	addr, err := experiment.CellAddress(spec, series, p)
 	if err != nil {
 		return nil, err
 	}
-	pc.series = series
-	pc.addr = addr
+	pc.addr = pc.cell.Address()
 	return pc, nil
 }
 
@@ -388,17 +386,15 @@ func applyAblation(req *CellRequest) error {
 	return nil
 }
 
-// overrideConfig builds the modified industry-standard configuration for
-// explicit config overrides. Config.Name feeds the fingerprint, so names
+// overrideConfig builds the modified industry-standard machine for
+// explicit config overrides; resolving the cell stamps the request's
+// budgets and run modes on it. Config.Name feeds the fingerprint, so names
 // deliberately mirror the ablation sweeps — "ftq<N>" for FTQ depth, and
 // the unchanged base name for post-fetch-correction toggles (A3 keeps it
 // too) — so a served override cell and the sweep's cell for the same
 // machine share one cache entry.
-func overrideConfig(req CellRequest, p experiment.Params) (core.Config, error) {
+func overrideConfig(req CellRequest) (core.Config, error) {
 	c := core.DefaultConfig()
-	c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
-	c.FastForward = true
-	c.Sampling = p.Sampling
 	if req.FTQ != 0 {
 		c.Name = fmt.Sprintf("ftq%d", req.FTQ)
 		c.Frontend.FTQEntries = req.FTQ
@@ -433,20 +429,12 @@ func overrideConfig(req CellRequest, p experiment.Params) (core.Config, error) {
 
 // executeCell is the production runCell: the flight leader's simulation.
 func (s *Server) executeCell(ctx context.Context, pc *preparedCell) (experiment.CellResult, error) {
-	if pc.series != "" {
-		return experiment.RunCellCtx(ctx, s.pool, pc.spec, pc.series, pc.params)
-	}
-	return experiment.RunConfigCellCtx(ctx, s.pool, pc.spec, pc.config, pc.params)
+	return pc.cell.Run(ctx, s.pool)
 }
 
 // probeCell is the cache fast path: no admission, no flight.
 func (s *Server) probeCell(pc *preparedCell) (core.Stats, bool, error) {
-	if pc.series != "" {
-		st, _, ok, err := experiment.ProbeCell(pc.spec, pc.series, pc.params)
-		return st, ok, err
-	}
-	st, _, ok, err := experiment.ProbeConfigCell(pc.spec, pc.config, pc.params)
-	return st, ok, err
+	return pc.cell.Probe()
 }
 
 // --- core cell flow ------------------------------------------------------
@@ -469,10 +457,7 @@ var (
 // concurrent identical requests.
 func (s *Server) cell(ctx context.Context, pc *preparedCell) (CellResponse, error) {
 	s.requests.Add(1)
-	resp := CellResponse{Workload: pc.spec.Name, Series: pc.series, Fingerprint: pc.addr}
-	if pc.series == "" {
-		resp.Config = pc.config.Name
-	}
+	resp := CellResponse{Workload: pc.spec.Name, Series: pc.series, Config: pc.config, Fingerprint: pc.addr}
 
 	// Cache fast path: warm cells are answered without touching admission.
 	if st, ok, err := s.probe(pc); err != nil {
@@ -742,7 +727,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 				WarmupInstrs: req.WarmupInstrs, MeasureInstrs: req.MeasureInstrs,
 				ProfileInstrs:    req.ProfileInstrs,
 				SamplingInterval: req.SamplingInterval, SamplingDetail: req.SamplingDetail,
-				SamplingWarm: req.SamplingWarm,
+				SamplingWarm: req.SamplingWarm, TimeoutMs: req.TimeoutMs,
 			})
 			if err != nil {
 				s.writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})

@@ -480,17 +480,20 @@ func TestPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pc.series != "" || pc.config.Name != "ftq4" || pc.config.Frontend.FTQEntries != 4 {
-		t.Fatalf("ftq4 cell: series %q config %+v", pc.series, pc.config)
+	if pc.series != "" || pc.config != "ftq4" {
+		t.Fatalf("ftq4 cell: series %q config %q", pc.series, pc.config)
 	}
-	// The override cell must be addressed exactly as an FTQ-depth
-	// ablation sweep addresses the same machine.
-	addr, err := experiment.ConfigCellAddress(pc.spec, pc.config, pc.params)
+	// The override cell must be addressed exactly as the FTQ-depth
+	// ablation sweep addresses its ftq4 machine.
+	sweepFTQ4 := core.DefaultConfig()
+	sweepFTQ4.Name = "ftq4"
+	sweepFTQ4.Frontend.FTQEntries = 4
+	cell, err := experiment.ConfigCell(pc.spec, sweepFTQ4, s.base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pc.addr != addr {
-		t.Fatalf("ftq4 address %s != sweep-identity address %s", pc.addr, addr)
+	if pc.addr != cell.Address() {
+		t.Fatalf("ftq4 address %s != sweep-identity address %s", pc.addr, cell.Address())
 	}
 
 	pc, err = s.prepare(CellRequest{Workload: name, Ablation: "eip"})
@@ -512,6 +515,41 @@ func TestPrepare(t *testing.T) {
 	}
 	if _, err := s.prepare(CellRequest{Workload: name, Series: "not-a-series"}); err == nil {
 		t.Fatal("unknown series accepted")
+	}
+
+	// Budgets, sampling fields and timeouts are validated, never dropped
+	// in favor of the defaults or an exact run.
+	for _, bad := range []CellRequest{
+		{Workload: name, WarmupInstrs: -5},
+		{Workload: name, MeasureInstrs: -1},
+		{Workload: name, ProfileInstrs: -1},
+		{Workload: name, SamplingDetail: 3_000},
+		{Workload: name, SamplingInterval: -30_000, SamplingDetail: 3_000},
+		{Workload: name, TimeoutMs: -1},
+	} {
+		if _, err := s.prepare(bad); err == nil {
+			t.Errorf("prepare accepted %+v", bad)
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, bad := range []SuiteRequest{
+		{Workloads: []string{name}, WarmupInstrs: -5},
+		{Workloads: []string{name}, SamplingDetail: 3_000},
+		{Workloads: []string{name}, TimeoutMs: -1},
+	} {
+		b, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := http.Post(ts.URL+"/v1/suite", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusBadRequest {
+			t.Errorf("suite %+v got %d, want 400", bad, res.StatusCode)
+		}
 	}
 }
 
