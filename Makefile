@@ -2,12 +2,18 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-strict test race audit vet check suite-smoke obs-smoke ff-smoke serve-smoke prefetch-smoke sampling-smoke cover
+.PHONY: all build fmt lint lint-strict test race audit vet check suite-smoke obs-smoke ff-smoke serve-smoke prefetch-smoke sampling-smoke cover
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# fmt fails when gofmt would rewrite any tracked Go file outside testdata/
+# (the analyzer fixtures there are inputs, not source).
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go' | grep -Ev '(^|/)testdata/')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint runs the simulator's custom static-analysis suite (cmd/simlint):
 # determinism, clock/randomness hygiene, float equality, cache-key schema,
@@ -41,7 +47,8 @@ vet:
 # cold and then warm against one run cache: the warm pass must print
 # byte-identical tables and be pure hits — its run-cache line on stderr
 # must report 0 misses and 0 stored, so a warm pass that re-simulated
-# fails even when its output matches.
+# fails even when its output matches. Each extension then runs cold and
+# warm against the same cache under the same two checks.
 suite-smoke:
 	rm -rf /tmp/frontsim-suite-smoke && mkdir -p /tmp/frontsim-suite-smoke
 	$(GO) build -o /tmp/frontsim-suite-smoke/experiments ./cmd/experiments
@@ -53,7 +60,17 @@ suite-smoke:
 	diff /tmp/frontsim-suite-smoke/cold.txt /tmp/frontsim-suite-smoke/warm.txt
 	grep -Eq '^run cache: [0-9]+ hits, 0 misses, 0 stored' /tmp/frontsim-suite-smoke/warm.err \
 		|| { echo "FAIL: warm pass was not pure cache hits"; cat /tmp/frontsim-suite-smoke/warm.err; exit 1; }
-	@echo "suite-smoke: warm pass pure hits and byte-identical to the cold pass"
+	for ext in preload ispy feedback; do \
+		out=/tmp/frontsim-suite-smoke/ext-$$ext; \
+		/tmp/frontsim-suite-smoke/experiments -n 3 -warmup 100000 -instrs 300000 -profile 400000 \
+			-cache /tmp/frontsim-suite-smoke/cache -extension $$ext -quiet > $$out-cold.txt || exit 1; \
+		/tmp/frontsim-suite-smoke/experiments -n 3 -warmup 100000 -instrs 300000 -profile 400000 \
+			-cache /tmp/frontsim-suite-smoke/cache -extension $$ext > $$out-warm.txt 2> $$out-warm.err || exit 1; \
+		diff $$out-cold.txt $$out-warm.txt || exit 1; \
+		grep -Eq '^run cache: [0-9]+ hits, 0 misses, 0 stored' $$out-warm.err \
+			|| { echo "FAIL: warm -extension $$ext was not pure cache hits"; cat $$out-warm.err; exit 1; }; \
+	done
+	@echo "suite-smoke: warm suite and extension passes pure hits and byte-identical to the cold passes"
 
 # obs-smoke proves observation is purely observational end to end: the
 # same short run with and without -obs must print byte-identical JSON
@@ -197,4 +214,4 @@ cover:
 	$(GO) test -count=1 -coverprofile=/tmp/frontsim-cover.out -covermode=atomic ./internal/...
 	$(GO) tool cover -func=/tmp/frontsim-cover.out | tail -1
 
-check: vet build lint-strict race audit suite-smoke obs-smoke ff-smoke serve-smoke prefetch-smoke sampling-smoke
+check: fmt vet build lint-strict race audit suite-smoke obs-smoke ff-smoke serve-smoke prefetch-smoke sampling-smoke

@@ -10,20 +10,16 @@
 package frontsim_test
 
 import (
+	"strconv"
 	"testing"
 
-	"frontsim/internal/asmdb"
-	"frontsim/internal/cfg"
 	"frontsim/internal/core"
 	"frontsim/internal/experiment"
-	"frontsim/internal/feedback"
 	"frontsim/internal/hwpf"
 	"frontsim/internal/obs"
-	"frontsim/internal/preload"
 	"frontsim/internal/program"
 	"frontsim/internal/runner"
 	"frontsim/internal/stats"
-	"frontsim/internal/trace"
 	"frontsim/internal/workload"
 )
 
@@ -232,75 +228,43 @@ func BenchmarkL1IAccessReduction(b *testing.B) {
 
 // benchOneWorkload builds the standard single-workload AsmDB pipeline used
 // by the extension benchmarks.
-func benchPipeline(b *testing.B, name string) (*program.Program, *cfg.Graph, *asmdb.Plan, uint64) {
-	b.Helper()
-	spec, _ := workload.Lookup(name)
-	prog, err := spec.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	seed := spec.Seed ^ 0x5eed5eed5eed5eed
-	graph, err := cfg.Profile(trace.NewLimit(program.NewExecutor(prog, seed), 500_000), cfg.Options{IPC: 0.5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := asmdb.Build(graph, asmdb.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return prog, graph, plan, seed
-}
-
-// BenchmarkExtensionPreload runs the §VI metadata-preloading prototype on
-// the industry front-end and reports its speedup over plain FDP.
+// BenchmarkExtensionPreload runs the §VI metadata-preloading prototype
+// (extension X1) on one server workload and reports its speedup over
+// plain FDP.
 func BenchmarkExtensionPreload(b *testing.B) {
-	prog, _, plan, seed := benchPipeline(b, "public_srv_60")
-	var fdpIPC, preIPC float64
+	specs := benchSpecs()[3:4]
+	var tab *stats.Table
 	for i := 0; i < b.N; i++ {
-		mk := func() core.Config {
-			c := core.DefaultConfig()
-			c.WarmupInstrs, c.MaxInstrs = 150_000, 400_000
-			return c
-		}
-		base, err := core.RunSource(mk(), program.NewExecutor(prog, seed))
-		if err != nil {
+		var err error
+		if tab, err = experiment.ExtensionPreload(specs, benchParams()); err != nil {
 			b.Fatal(err)
 		}
-		pl, err := preload.New(preload.DefaultConfig(), plan)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c := mk()
-		c.Frontend.Prefetcher = pl
-		st, err := core.RunSource(c, program.NewExecutor(prog, seed))
-		if err != nil {
-			b.Fatal(err)
-		}
-		fdpIPC, preIPC = base.IPC(), st.IPC()
 	}
-	b.ReportMetric(fdpIPC, "fdp-ipc")
-	b.ReportMetric(preIPC, "preload-ipc")
-	b.ReportMetric(preIPC/fdpIPC, "speedup")
+	reportCell(b, tab, 2, "speedup")
 }
 
-// BenchmarkExtensionFeedback runs the §VI feedback-directed tuning loop
-// and reports the best candidate's speedup over the untuned baseline.
+// BenchmarkExtensionFeedback runs the §VI feedback-directed search
+// (extension X2) on one server workload and reports the chosen point's
+// speedup over the untuned baseline.
 func BenchmarkExtensionFeedback(b *testing.B) {
-	prog, graph, _, seed := benchPipeline(b, "public_srv_60")
-	var best float64
+	specs := benchSpecs()[3:4]
+	var tab *stats.Table
 	for i := 0; i < b.N; i++ {
-		eval := core.DefaultConfig()
-		eval.WarmupInstrs, eval.MaxInstrs = 100_000, 250_000
-		opts := feedback.DefaultOptions(eval, seed)
-		opts.Fanouts = []float64{0.3, 0.6}
-		opts.SiteCounts = []int{2}
-		res, err := feedback.Tune(prog, graph, opts)
-		if err != nil {
+		var err error
+		if tab, err = experiment.ExtensionFeedback(specs, benchParams()); err != nil {
 			b.Fatal(err)
 		}
-		best = res.Best.Speedup
 	}
-	b.ReportMetric(best, "best-speedup")
+	reportCell(b, tab, 3, "best-speedup")
+}
+
+// reportCell reports column col of tab's first row as metric unit.
+func reportCell(b *testing.B, tab *stats.Table, col int, unit string) {
+	v, err := strconv.ParseFloat(tab.Rows[0][col], 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(v, unit)
 }
 
 // BenchmarkAblationFTQDepth sweeps FTQ depth (ablation A1).

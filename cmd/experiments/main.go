@@ -47,7 +47,6 @@ func main() {
 		instrs   = flag.Int64("instrs", 1_500_000, "measured instructions per run")
 		warmup   = flag.Int64("warmup", 500_000, "warmup instructions per run")
 		profile  = flag.Int64("profile", 2_000_000, "AsmDB profiling instructions")
-		par      = flag.Int("par", 0, "parallel jobs (0 = GOMAXPROCS); alias of -jobs")
 		jobs     = flag.Int("jobs", 0, "work-stealing pool workers (0 = GOMAXPROCS)")
 		cacheDir = flag.String("cache", filepath.Join("results", "cache"), "run-cache directory")
 		noCache  = flag.Bool("no-cache", false, "disable the run cache (every run cold)")
@@ -70,10 +69,7 @@ func main() {
 	p.MeasureInstrs = *instrs
 	p.WarmupInstrs = *warmup
 	p.ProfileInstrs = *profile
-	p.Parallelism = *par
-	if *jobs != 0 {
-		p.Parallelism = *jobs
-	}
+	p.Parallelism = *jobs
 	p.Audit = *audit
 	p.FastForward = *fastFwd
 	if *sampInt > 0 {

@@ -3,48 +3,29 @@
 // fixed profile-time policy: candidate rewritings are evaluated on the
 // aggressive front-end and the best-performing binary wins — with the
 // original, prefetch-free binary as the floor, so software prefetching can
-// never be a regression.
+// never be a regression. The candidates run as experiment cells, profiled
+// once on the conservative baseline like the paper's matrix.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"frontsim/internal/cfg"
-	"frontsim/internal/core"
-	"frontsim/internal/feedback"
-	"frontsim/internal/program"
-	"frontsim/internal/trace"
+	"frontsim/internal/experiment"
 	"frontsim/internal/workload"
 )
 
 func main() {
 	spec, _ := workload.Lookup("secret_srv225")
-	prog, err := spec.Build()
-	if err != nil {
-		log.Fatal(err)
-	}
-	seed := spec.Seed ^ 0x5eed5eed5eed5eed
+	p := experiment.DefaultParams()
+	p.WarmupInstrs, p.MeasureInstrs, p.ProfileInstrs = 300_000, 800_000, 1_000_000
 
-	graph, err := cfg.Profile(
-		trace.NewLimit(program.NewExecutor(prog, seed), 1_000_000),
-		cfg.Options{IPC: 0.5})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("profiled %s: %d blocks, %.1f MPKI\n\n", spec.Name, len(graph.Nodes), graph.MPKI())
-
-	eval := core.DefaultConfig()
-	eval.WarmupInstrs = 300_000
-	eval.MaxInstrs = 800_000
-	opts := feedback.DefaultOptions(eval, seed)
-
-	res, err := feedback.Tune(prog, graph, opts)
+	res, err := experiment.FeedbackSearch(spec, p)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("baseline (no prefetching): IPC %.3f\n\n", res.BaselineIPC)
+	fmt.Printf("%s baseline (no prefetching): IPC %.3f\n\n", spec.Name, res.BaselineIPC)
 	fmt.Printf("%-8s %-6s %-11s %-8s %s\n", "fanout", "sites", "insertions", "IPC", "speedup")
 	for _, c := range res.Candidates {
 		marker := ""

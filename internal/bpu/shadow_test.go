@@ -45,7 +45,7 @@ func TestShadowPartialLineDecode(t *testing.T) {
 	ins := []isa.Instr{
 		{PC: line + 0, Class: isa.ClassALU},
 		{PC: line + 4, Class: isa.ClassBranch, Target: 0x2000},
-		{PC: line + 8, Class: isa.ClassIndirect, Target: 0x3000},     // register target: not decodable
+		{PC: line + 8, Class: isa.ClassIndirect, Target: 0x3000},      // register target: not decodable
 		{PC: line + 12, Class: isa.ClassIndirectCall, Target: 0x3400}, // register target: not decodable
 		{PC: line + 16, Class: isa.ClassBranch, Target: 0},            // no encoded target in the trace
 		{PC: line + 20, Class: isa.ClassReturn},                       // decodes despite Target 0 (RAS supplies it)

@@ -140,7 +140,7 @@ type Level struct {
 	shift    uint
 	tagShift uint // when sets is a power of two, tagOf is a single shift
 	mask     uint64
-	lines  []line // sets*ways, row-major
+	lines    []line // sets*ways, row-major
 	// keys mirrors lines: tag+1 when the way is valid, 0 when not. The hit
 	// scan walks this dense array instead of the line structs, one cache
 	// line of keys covering eight ways.

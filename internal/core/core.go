@@ -160,6 +160,9 @@ type Stats struct {
 	// the measured windows only, so IPC() is the ratio estimate across all
 	// sampled cycles.
 	Sampling *SamplingStats `json:",omitempty"`
+
+	// Prefetcher holds the attached prefetcher's own counters, if any.
+	Prefetcher *PrefetcherStats `json:",omitempty"`
 }
 
 // IPC returns retired program instructions per cycle.
@@ -405,7 +408,9 @@ func (s *Sim) RunCtx(ctx context.Context) (Stats, error) {
 		return Stats{}, fmt.Errorf("core: source failed: %w", err)
 	}
 	if s.samp != nil {
-		return s.samp.finish(s.cfg.Name), nil
+		st := s.samp.finish(s.cfg.Name)
+		st.Prefetcher = s.prefetcherStats()
+		return st, nil
 	}
 	if !s.measured {
 		// The source ended during warmup; measure what we have.
@@ -447,7 +452,17 @@ func (s *Sim) snapshot() Stats {
 		DRAMAccesses:     s.mem.DRAM.Accesses(),
 		DRAMQueueing:     s.mem.DRAM.QueueingCycles(),
 		WarmupOvershoot:  s.warmupOvershoot,
+		Prefetcher:       s.prefetcherStats(),
 	}
+}
+
+// prefetcherStats reads the attached prefetcher's counters (PrefetchCounter).
+func (s *Sim) prefetcherStats() *PrefetcherStats {
+	if pc, ok := s.cfg.Frontend.Prefetcher.(PrefetchCounter); ok {
+		st := pc.PrefetchCounters()
+		return &st
+	}
+	return nil
 }
 
 // Snapshot returns the statistics accumulated so far in the current

@@ -54,6 +54,21 @@ type PrefetchFingerprinter interface {
 	PrefetchFingerprint() string
 }
 
+// PrefetchCounter lets an attached hardware prefetcher report counters of
+// its own, which the snapshot carries in Stats.Prefetcher.
+type PrefetchCounter interface {
+	PrefetchCounters() PrefetcherStats
+}
+
+// PrefetcherStats are a metadata-driven prefetcher's counters
+// (internal/preload), counted over the whole run, warm-up included.
+type PrefetcherStats struct {
+	Lookups        int64 // demand L1-I accesses checked against the metadata
+	L1Hits         int64 // lookups served by ready L1-side metadata
+	MetadataMisses int64 // trigger lines fetched from the LLC-side store
+	Prefetches     int64 // prefetches issued
+}
+
 // triggerFingerprint is one Triggers entry in canonical (site-sorted)
 // order. Target order within a site is preserved: the front-end fires
 // trigger prefetches in slice order, so it is semantically meaningful.

@@ -304,8 +304,8 @@ func (sp *samplingState) finish(name string) Stats {
 
 // addStatsInto accumulates src's counters into dst field-by-field,
 // recursing through the embedded per-component stats structs. Stats is
-// all int64 counters apart from its Config label and the Sampling block,
-// both of which are identity, not accumulators; any other field kind is a
+// all int64 counters apart from its Config label and the Sampling and
+// Prefetcher blocks, which are not accumulators; any other field kind is a
 // programming error caught loudly here (and by TestAddStatsCoversStats)
 // rather than silently skipped.
 func addStatsInto(dst, src *Stats) {
@@ -332,7 +332,7 @@ func addStructInt64(d, s reflect.Value) {
 				e.SetInt(e.Int() + s.Field(i).Index(j).Int())
 			}
 		case reflect.String, reflect.Pointer:
-			// Config (a label) and Sampling (attached at finish).
+			// Config (a label); the Sampling and Prefetcher blocks.
 		default:
 			panic(fmt.Sprintf("core: addStatsInto cannot accumulate field %s of kind %s",
 				d.Type().Field(i).Name, f.Kind()))

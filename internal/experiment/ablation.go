@@ -6,12 +6,9 @@ import (
 
 	"frontsim/internal/asmdb"
 	"frontsim/internal/cache"
-	"frontsim/internal/cfg"
 	"frontsim/internal/core"
-	"frontsim/internal/program"
 	"frontsim/internal/runner"
 	"frontsim/internal/stats"
-	"frontsim/internal/trace"
 	"frontsim/internal/workload"
 )
 
@@ -43,10 +40,10 @@ func speedupCell(st, base core.Stats) string {
 }
 
 // sweep runs one configuration grid — cells[si][ci] for spec si and
-// machine configuration ci — through the runner pool. Each spec's cells
-// are probed against the cache first (warm cells are recorded
-// immediately; a fully warm spec skips even building its program); the
-// cold remainder runs as one stealable job per cell.
+// machine configuration ci — through the runner pool, each spec's cells in
+// the matrix waves (runWaves): warm cells are recorded immediately, a
+// fully warm spec skips even building its program, and the cold remainder
+// runs as one stealable job per cell.
 // mkCfg must be pure: it is called once per cell on an arbitrary worker.
 func sweep(specs []workload.Spec, nCfg int, p Params, mkCfg func(spec workload.Spec, ci int) core.Config) ([][]core.Stats, error) {
 	if err := p.Validate(); err != nil {
@@ -60,27 +57,16 @@ func sweep(specs []workload.Spec, nCfg int, p Params, mkCfg func(spec workload.S
 	for si, spec := range specs {
 		out[si] = make([]core.Stats, nCfg)
 		g.Go(func() error {
-			var cold []*Cell
-			for ci := range out[si] {
+			cells := make([]*Cell, nCfg)
+			for ci := range cells {
 				c, err := ConfigCell(spec, mkCfg(spec, ci), p)
 				if err != nil {
 					return err
 				}
-				c.out = &out[si][ci]
-				if ok, err := c.load(); err != nil {
-					return err
-				} else if !ok {
-					cold = append(cold, c)
-				}
+				c.out, cells[ci] = &out[si][ci], c
 			}
-			if len(cold) == 0 {
-				return nil
-			}
-			prog, err := spec.Build()
-			if err != nil {
-				return err
-			}
-			return runCells(ctx, pool, &inputs{prog: prog}, cold)
+			_, err := runWaves(ctx, pool, &inputs{spec: spec}, cells, nil, nil)
+			return err
 		})
 	}
 	if err := g.Wait(); err != nil {
@@ -131,8 +117,8 @@ func AblationFTQDepth(specs []workload.Spec, depths []int, p Params) (*stats.Tab
 
 // AblationFanout sweeps AsmDB's fanout threshold on the industry-standard
 // front-end: lower thresholds raise coverage (and bloat) at lower accuracy
-// (paper §II-B2). Each workload profiles once; the per-threshold plan,
-// rewrite, and run then fan out as jobs.
+// (paper §II-B2). Each workload profiles once, and only when a threshold
+// cell misses the cache; the missing cells then run as jobs.
 func AblationFanout(specs []workload.Spec, thresholds []float64, p Params) (*stats.Table, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -149,59 +135,41 @@ func AblationFanout(specs []workload.Spec, thresholds []float64, p Params) (*sta
 	for si, spec := range specs {
 		res[si] = make([]point, len(thresholds))
 		g.Go(func() error {
-			prog, err := spec.Build()
-			if err != nil {
-				return err
-			}
+			in := &inputs{spec: spec}
 			base, err := ConfigCell(spec, core.DefaultConfig(), p)
 			if err != nil {
 				return err
 			}
 			var baseSt core.Stats
 			base.out = &baseSt
-			if ok, err := base.load(); err != nil {
-				return err
-			} else if !ok {
-				if err := base.run(ctx, &inputs{prog: prog}); err != nil {
+			cells := make([]*Cell, len(thresholds))
+			sts := make([]core.Stats, len(thresholds))
+			for ti, th := range thresholds {
+				opts := p.AsmDB
+				opts.FanoutThreshold = th
+				src := p.planKey(spec, opts, base.key.Config)
+				if cells[ti], err = newCell(spec, fmt.Sprintf("fanout%.2f", th), core.DefaultConfig(), progAsmdb, &src, p); err != nil {
 					return err
 				}
+				cells[ti].out = &sts[ti]
 			}
-			graph, err := cfg.Profile(trace.NewLimit(program.NewExecutor(prog, base.key.ExecSeed), p.ProfileInstrs), cfg.Options{IPC: baseSt.IPC()})
+			// A threshold's plan is built per pass from a profile calibrated
+			// on the base cell, and never cached: only its cell is.
+			_, err = runWaves(ctx, pool, in, append([]*Cell{base}, cells...), nil, func(key planKey) (planEntry, error) {
+				graph, err := in.profile(ctx, key.ExecSeed, key.ProfileInstrs, func() (float64, error) { return baseSt.IPC(), nil })
+				if err != nil {
+					return planEntry{}, err
+				}
+				plan, err := asmdb.Build(graph, key.AsmDB)
+				return planEntry{Plan: plan}, err
+			})
 			if err != nil {
 				return err
 			}
-			sub := pool.NewGroup()
-			for ti, th := range thresholds {
-				sub.Go(func() error {
-					opts := p.AsmDB
-					opts.FanoutThreshold = th
-					src := p.planKey(spec, opts, base.key.Config)
-					c, err := newCell(spec, fmt.Sprintf("fanout%.2f", th), core.DefaultConfig(), progAsmdb, &src, p)
-					if err != nil {
-						return err
-					}
-					var st core.Stats
-					c.out = &st
-					if ok, err := c.load(); err != nil {
-						return err
-					} else if !ok {
-						plan, err := asmdb.Build(graph, opts)
-						if err != nil {
-							return err
-						}
-						rw, _, err := asmdb.Apply(prog, plan)
-						if err != nil {
-							return err
-						}
-						if err := c.run(ctx, &inputs{rewritten: rw}); err != nil {
-							return err
-						}
-					}
-					res[si][ti] = point{speedup: speedupCell(st, baseSt), bloat: 100 * st.DynamicBloat()}
-					return nil
-				})
+			for ti := range thresholds {
+				res[si][ti] = point{speedup: speedupCell(sts[ti], baseSt), bloat: 100 * sts[ti].DynamicBloat()}
 			}
-			return sub.Wait()
+			return nil
 		})
 	}
 	if err := g.Wait(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"frontsim/internal/asmdb"
 	"frontsim/internal/cfg"
@@ -33,11 +34,16 @@ type Cell struct {
 	key    simKey
 	addr   string
 	p      Params
+	// plan identifies the plan a plan-derived variant runs (nil for the
+	// base program); rewritten is that plan's program once applied.
+	plan      *planKey
+	rewritten *program.Program
 
-	// out receives the cell's stats from load or run; progress, when set,
-	// gets one line per produced cell.
+	// out receives the cell's stats from probe or run; progress, when set,
+	// gets one line per produced cell; cached reports which produced it.
 	out      *core.Stats
 	progress *runner.Progress
+	cached   bool
 }
 
 // CellResult is one completed simulation cell.
@@ -64,8 +70,9 @@ func newCell(spec workload.Spec, series string, machine core.Config, prog string
 	c.key = simKey{Schema: cacheSchema, Kind: "sim", Workload: spec, Program: prog,
 		Config: c.cfg.Fingerprint(), ExecSeed: spec.Seed ^ p.ExecSeedSalt}
 	if plan != nil {
-		opts := plan.AsmDB
-		c.key.AsmDB, c.key.ProfileInstrs, c.key.ProfileConfig = &opts, plan.ProfileInstrs, plan.ProfileConfig
+		k := *plan
+		c.plan = &k
+		c.key.AsmDB, c.key.ProfileInstrs, c.key.ProfileConfig = &k.AsmDB, k.ProfileInstrs, k.ProfileConfig
 	}
 	var err error
 	c.addr, err = runner.Fingerprint(c.key)
@@ -133,20 +140,10 @@ func (c *Cell) Probe() (core.Stats, bool, error) {
 	return st, ok, err
 }
 
-// load fills *c.out from the run cache and records the hit; false on a
-// miss.
-func (c *Cell) load() (bool, error) {
-	st, ok, err := c.Probe()
-	if ok {
-		*c.out = st
-		c.record(true)
-	}
-	return ok, err
-}
-
 // record reports a produced cell, cached or live, to the suite collector
 // and the progress tracker.
 func (c *Cell) record(cached bool) {
+	c.cached = cached
 	if c.p.Obs != nil {
 		c.p.Obs.Record(c.out.MetricSet(
 			obs.Label{Key: "workload", Value: c.spec.Name},
@@ -156,42 +153,89 @@ func (c *Cell) record(cached bool) {
 	c.progress.JobDone(c.spec.Name+"/"+c.series, cached)
 }
 
-// inputs is what a workload's cold cells simulate: the generated program
-// and, for plan-derived variants, the rewritten program or the trigger
-// table.
+// inputs is what a workload's cold cells simulate: the generated program,
+// built on first use, and the profile its plans share.
 type inputs struct {
-	prog, rewritten *program.Program
-	triggers        map[isa.Addr][]isa.Addr
+	spec  workload.Spec
+	prog  *program.Program
+	graph *cfg.Graph
 }
 
-// applyPlan derives from plan the variant inputs cells need.
-func (in *inputs) applyPlan(spec workload.Spec, plan *asmdb.Plan, cells []*Cell) error {
+// program returns the workload's generated program.
+func (in *inputs) program() (*program.Program, error) {
+	if in.prog == nil {
+		prog, err := in.spec.Build()
+		if err != nil {
+			return nil, err
+		}
+		in.prog = prog
+	}
+	return in.prog, nil
+}
+
+// profile returns the workload's profile over instrs instructions of the
+// executor seeded with seed, calibrated with the IPC ipc reports, made on
+// the first call only: all plans of one pass share one profiling setup.
+func (in *inputs) profile(ctx context.Context, seed uint64, instrs int64, ipc func() (float64, error)) (*cfg.Graph, error) {
+	if in.graph != nil {
+		return in.graph, nil
+	}
+	prog, err := in.program()
+	if err != nil {
+		return nil, err
+	}
+	v, err := ipc()
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("%s profile: %w", in.spec.Name, err)
+	}
+	if in.graph, err = cfg.Profile(trace.NewLimit(program.NewExecutor(prog, seed), instrs), cfg.Options{IPC: v}); err != nil {
+		return nil, fmt.Errorf("%s profile: %w", in.spec.Name, err)
+	}
+	return in.graph, nil
+}
+
+// applyPlan derives from plan, identified by key, the inputs of the cells
+// that run it: the rewritten program or the trigger table.
+func (in *inputs) applyPlan(key planKey, plan *asmdb.Plan, cells []*Cell) error {
+	var rw *program.Program
+	var triggers map[isa.Addr][]isa.Addr
 	for _, c := range cells {
-		switch {
-		case c.key.Program == progAsmdb && in.rewritten == nil:
-			rw, _, err := asmdb.Apply(in.prog, plan)
-			if err != nil {
-				return fmt.Errorf("%s apply: %w", spec.Name, err)
+		if c.plan == nil || *c.plan != key {
+			continue
+		}
+		prog, err := in.program()
+		if err != nil {
+			return err
+		}
+		switch c.key.Program {
+		case progAsmdb:
+			if rw == nil {
+				if rw, _, err = asmdb.Apply(prog, plan); err != nil {
+					return fmt.Errorf("%s apply: %w", in.spec.Name, err)
+				}
 			}
-			in.rewritten = rw
-		case c.key.Program == progTriggers && in.triggers == nil:
-			in.triggers = asmdb.Triggers(in.prog, plan)
+			c.rewritten = rw
+		case progTriggers:
+			if triggers == nil {
+				triggers = asmdb.Triggers(prog, plan)
+			}
+			c.cfg.Triggers = triggers
 		}
 	}
 	return nil
 }
 
 // run is the single cold-cell runner: it attaches the ObsRun observer,
-// simulates the cell over in under ctx, closes the observer as soon as
-// the run ends, then caches and records the result. A failed or cancelled
-// run is never cached.
+// simulates the cell over its program under ctx, closes the observer as
+// soon as the run ends, then caches and records the result. A failed or
+// cancelled run is never cached.
 func (c *Cell) run(ctx context.Context, in *inputs) error {
 	cfg, prog := c.cfg, in.prog
-	switch c.key.Program {
-	case progAsmdb:
-		prog = in.rewritten
-	case progTriggers:
-		cfg.Triggers = in.triggers
+	if c.rewritten != nil {
+		prog = c.rewritten
 	}
 	if c.p.ObsRun != nil {
 		cfg.Obs = c.p.ObsRun(c.spec.Name, c.series)
@@ -213,6 +257,24 @@ func (c *Cell) run(ctx context.Context, in *inputs) error {
 	return nil
 }
 
+// probe fills *c.out for each cell the run cache holds, recording the
+// hit, and returns the misses.
+func probe(cells []*Cell) ([]*Cell, error) {
+	var cold []*Cell
+	for _, c := range cells {
+		st, ok, err := c.Probe()
+		if err != nil {
+			return nil, err
+		} else if !ok {
+			cold = append(cold, c)
+			continue
+		}
+		*c.out = st
+		c.record(true)
+	}
+	return cold, nil
+}
+
 // runCells runs each cold cell as its own stealable job on pool, joined
 // with ctx (runner.Group.WaitCtx) while every run polls the same ctx, so
 // an abandoned join stops its simulations instead of stranding them on
@@ -220,6 +282,9 @@ func (c *Cell) run(ctx context.Context, in *inputs) error {
 func runCells(ctx context.Context, pool *runner.Pool, in *inputs, cells []*Cell) error {
 	if len(cells) == 0 {
 		return nil
+	}
+	if _, err := in.program(); err != nil {
+		return err
 	}
 	g := pool.NewGroup()
 	for _, c := range cells {
@@ -229,92 +294,102 @@ func runCells(ctx context.Context, pool *runner.Pool, in *inputs, cells []*Cell)
 }
 
 // uncancelled is the context of the ctx-less entry points (RunMatrix,
-// RunSuite and the ablation sweeps): their cells always run to completion.
+// RunSuite, the ablation sweeps and the extensions): their cells always
+// run to completion.
 func uncancelled() context.Context {
 	return context.Background() //lint:allow ctx-less entry points run every cell to completion; single cells take the caller's ctx
 }
 
-// plan materializes the matrix's AsmDB plan under key
-// (Params.matrixPlan): the cached entry, or a profile of in.prog seeded
-// with the conservative baseline's IPC, built and cached. consIPC is
-// called on a miss only.
-func (p Params) plan(ctx context.Context, spec workload.Spec, key planKey, in *inputs, consIPC func() (float64, error)) (planEntry, error) {
-	var pe planEntry
-	if ok, err := p.Cache.Get(key, &pe); err != nil || ok {
-		return pe, err
+// planner materializes the plan under a key for runWaves.
+type planner func(planKey) (planEntry, error)
+
+// plan is the planner of the matrix's plan family: a key's cached entry,
+// or a plan built with key.AsmDB from the pass's profile (inputs.profile)
+// and cached. The profile is calibrated on the conservative series: cons
+// when the caller produced it, else loaded or run.
+func (p Params) plan(ctx context.Context, pool *runner.Pool, in *inputs, cons *core.Stats) planner {
+	consIPC := func() (float64, error) {
+		if cons != nil {
+			return cons.IPC(), nil
+		}
+		c, err := resolveSeries(in.spec, serCons, p, planKey{})
+		if err != nil {
+			return 0, err
+		}
+		var st core.Stats
+		c.out = &st
+		_, err = runWaves(ctx, pool, in, []*Cell{c}, nil, nil)
+		return st.IPC(), err
 	}
-	if in.prog == nil {
-		prog, err := spec.Build()
+	return func(key planKey) (planEntry, error) {
+		var pe planEntry
+		if ok, err := p.Cache.Get(key, &pe); err != nil || ok {
+			return pe, err
+		}
+		graph, err := in.profile(ctx, key.ExecSeed, key.ProfileInstrs, consIPC)
 		if err != nil {
 			return pe, err
 		}
-		in.prog = prog
+		if pe.Plan, err = asmdb.Build(graph, key.AsmDB); err != nil {
+			return pe, fmt.Errorf("%s plan: %w", in.spec.Name, err)
+		}
+		pe.StaticBloat = pe.Plan.StaticBloat(in.prog)
+		return pe, p.Cache.Put(key, pe)
 	}
-	ipc, err := consIPC()
+}
+
+// runWaves produces cells of in's workload in the matrix waves: probe
+// them, run the base-program misses, materialize with plan the plans the
+// caller reads and each plan-derived miss's own, apply them, and run the
+// plan-derived misses. It returns the entries of plans, in order. A pass
+// whose cells and plans are all cached builds and profiles nothing.
+func runWaves(ctx context.Context, pool *runner.Pool, in *inputs, cells []*Cell, plans []planKey, plan planner) ([]planEntry, error) {
+	cold, err := probe(cells)
 	if err != nil {
-		return pe, err
+		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return pe, fmt.Errorf("%s plan: %w", spec.Name, err)
+	keys := slices.Clone(plans)
+	var base, planned []*Cell
+	for _, c := range cold {
+		if c.plan == nil {
+			base = append(base, c)
+			continue
+		}
+		planned = append(planned, c)
+		if !slices.Contains(keys, *c.plan) {
+			keys = append(keys, *c.plan)
+		}
 	}
-	graph, err := cfg.Profile(trace.NewLimit(program.NewExecutor(in.prog, key.ExecSeed), p.ProfileInstrs),
-		cfg.Options{IPC: ipc})
-	if err != nil {
-		return pe, fmt.Errorf("%s profile: %w", spec.Name, err)
+	if err := runCells(ctx, pool, in, base); err != nil {
+		return nil, err
 	}
-	if pe.Plan, err = asmdb.Build(graph, p.AsmDB); err != nil {
-		return pe, fmt.Errorf("%s plan: %w", spec.Name, err)
+	pes := make([]planEntry, len(keys))
+	for i, key := range keys {
+		if pes[i], err = plan(key); err != nil {
+			return nil, err
+		}
+		if err := in.applyPlan(key, pes[i].Plan, planned); err != nil {
+			return nil, err
+		}
 	}
-	pe.StaticBloat = pe.Plan.StaticBloat(in.prog)
-	return pe, p.Cache.Put(key, pe)
+	return pes[:len(plans)], runCells(ctx, pool, in, planned)
 }
 
 // Run produces the cell: from the run cache when warm, otherwise by
 // simulating it on pool with ctx plumbed through the scheduler join and
-// the cycle loop. A plan-derived cell first materializes the AsmDB plan
+// the cycle loop. A plan-derived cell first materializes its AsmDB plan
 // through the same cache (and, to profile on a miss, the conservative
 // baseline), so a cold cell leaves behind the entries the suite path
 // would. On cancellation the returned error wraps ctx.Err(), and nothing
 // cancelled is cached.
 func (c *Cell) Run(ctx context.Context, pool *runner.Pool) (CellResult, error) {
+	cell, in := *c, &inputs{spec: c.spec}
 	res := CellResult{Fingerprint: c.addr}
-	cell := *c
 	cell.out = &res.Stats
-	if ok, err := cell.load(); err != nil {
-		return CellResult{}, err
-	} else if ok {
-		res.Cached = true
-		return res, nil
-	}
-	prog, err := c.spec.Build()
-	if err != nil {
+	if _, err := runWaves(ctx, pool, in, []*Cell{&cell}, nil, c.p.plan(ctx, pool, in, nil)); err != nil {
 		return CellResult{}, err
 	}
-	in := &inputs{prog: prog}
-	if c.key.Program != progBase {
-		pe, err := c.p.plan(ctx, c.spec, c.p.matrixPlan(c.spec), in, func() (float64, error) {
-			cons, err := resolveSeries(c.spec, serCons, c.p, planKey{})
-			if err != nil {
-				return 0, err
-			}
-			var st core.Stats
-			cons.out = &st
-			if ok, err := cons.load(); err != nil || ok {
-				return st.IPC(), err
-			}
-			err = runCells(ctx, pool, in, []*Cell{cons})
-			return st.IPC(), err
-		})
-		if err != nil {
-			return CellResult{}, err
-		}
-		if err := in.applyPlan(c.spec, pe.Plan, []*Cell{&cell}); err != nil {
-			return CellResult{}, err
-		}
-	}
-	if err := runCells(ctx, pool, in, []*Cell{&cell}); err != nil {
-		return CellResult{}, err
-	}
+	res.Cached = cell.cached
 	return res, nil
 }
 

@@ -83,10 +83,10 @@ type Params struct {
 	// estimate (core.SamplingStats) the tables render as ± confidence
 	// half-widths. The zero value keeps every cell exact. MaxInstrs still
 	// bounds the covered stream region, so a sampled suite traverses the
-	// same instructions as its exact counterpart. Extension pipelines
-	// (X1/X2) always run exact: their tuning loops compare absolute IPC
-	// across rewritten programs, where sampling noise would feed back into
-	// plan selection.
+	// same instructions as its exact counterpart. The extensions X1–X3
+	// always run exact (the function extension clears Sampling for all): X2
+	// compares absolute IPC across rewritten programs, where sampling
+	// noise would feed back into plan selection.
 	Sampling core.SamplingConfig
 }
 
@@ -319,51 +319,26 @@ func RunMatrix(spec workload.Spec, index int, p Params) (*Matrix, error) {
 	return runMatrixPooled(uncancelled(), pool, spec, index, p, nil)
 }
 
-// runMatrixPooled executes one workload's matrix on a shared pool. It
-// probes the cache for every series first; whatever is missing runs as
-// one job per cell in two fork-join waves: base-program cells, then
-// plan-derived cells, whose plan is profiled on the conservative
-// baseline's IPC.
+// runMatrixPooled executes one workload's matrix on a shared pool in the
+// matrix waves (runWaves): all ten series and the matrix plan.
 func runMatrixPooled(ctx context.Context, pool *runner.Pool, spec workload.Spec, index int, p Params, pr *runner.Progress) (*Matrix, error) {
 	m := &Matrix{Spec: spec, Index: index}
 	plan := p.matrixPlan(spec)
-	var waves [2][]*Cell
+	cells := make([]*Cell, numSeries)
 	for id := range seriesTable {
 		c, err := resolveSeries(spec, seriesID(id), p, plan)
 		if err != nil {
 			return nil, err
 		}
 		c.out, c.progress = m.seriesPtr(seriesID(id)), pr
-		if ok, err := c.load(); err != nil {
-			return nil, err
-		} else if !ok && c.key.Program == progBase {
-			waves[0] = append(waves[0], c)
-		} else if !ok {
-			waves[1] = append(waves[1], c)
-		}
+		cells[id] = c
 	}
-	in := &inputs{}
-	if len(waves[0])+len(waves[1]) > 0 {
-		prog, err := spec.Build()
-		if err != nil {
-			return nil, err
-		}
-		in.prog = prog
-	}
-	if err := runCells(ctx, pool, in, waves[0]); err != nil {
-		return nil, err
-	}
-	pe, err := p.plan(ctx, spec, plan, in, func() (float64, error) { return m.Cons.IPC(), nil })
+	in := &inputs{spec: spec}
+	pes, err := runWaves(ctx, pool, in, cells, []planKey{plan}, p.plan(ctx, pool, in, &m.Cons))
 	if err != nil {
 		return nil, err
 	}
-	m.Plan, m.StaticBloat = pe.Plan, pe.StaticBloat
-	if err := in.applyPlan(spec, pe.Plan, waves[1]); err != nil {
-		return nil, err
-	}
-	if err := runCells(ctx, pool, in, waves[1]); err != nil {
-		return nil, err
-	}
+	m.Plan, m.StaticBloat = pes[0].Plan, pes[0].StaticBloat
 	return m, nil
 }
 

@@ -1,190 +1,201 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"frontsim/internal/asmdb"
-	"frontsim/internal/cfg"
 	"frontsim/internal/core"
 	"frontsim/internal/feedback"
 	"frontsim/internal/ispy"
 	"frontsim/internal/preload"
-	"frontsim/internal/program"
+	"frontsim/internal/runner"
 	"frontsim/internal/stats"
-	"frontsim/internal/trace"
 	"frontsim/internal/workload"
 )
 
-// pipeline holds the shared per-workload AsmDB artifacts the extension
-// experiments reuse.
-type pipeline struct {
-	spec  workload.Spec
-	prog  *program.Program
-	graph *cfg.Graph
-	plan  *asmdb.Plan
-	seed  uint64
-}
-
-func buildPipeline(spec workload.Spec, p Params) (*pipeline, error) {
-	prog, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	seed := spec.Seed ^ p.ExecSeedSalt
-	baseCfg := core.ConservativeConfig()
-	baseCfg.WarmupInstrs, baseCfg.MaxInstrs = p.WarmupInstrs/2+1, p.MeasureInstrs/2+1
-	baseCfg.Audit = p.Audit
-	base, err := core.RunSource(baseCfg, program.NewExecutor(prog, seed))
-	if err != nil {
-		return nil, err
-	}
-	graph, err := cfg.Profile(trace.NewLimit(program.NewExecutor(prog, seed), p.ProfileInstrs), cfg.Options{IPC: base.IPC()})
-	if err != nil {
-		return nil, err
-	}
-	plan, err := asmdb.Build(graph, p.AsmDB)
-	if err != nil {
-		return nil, err
-	}
-	return &pipeline{spec: spec, prog: prog, graph: graph, plan: plan, seed: seed}, nil
-}
-
-func (pl *pipeline) run(c core.Config, prog *program.Program, p Params) (core.Stats, error) {
-	c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
-	c.Audit = p.Audit
-	return core.RunSource(c, program.NewExecutor(prog, pl.seed))
-}
-
-// ExtensionPreload compares the §VI metadata-preloading prototype against
-// plain FDP and inserted-instruction AsmDB on the industry front-end.
-func ExtensionPreload(specs []workload.Spec, p Params) (*stats.Table, error) {
+// extension runs fn for each spec, the specs' cells sharing one pool, and
+// returns the results in spec order. X1–X3 always run exact: this is
+// where their Params.Sampling is cleared.
+func extension[T any](specs []workload.Spec, p Params, fn func(ctx context.Context, pool *runner.Pool, spec workload.Spec, p Params) (T, error)) ([]T, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	p.Sampling = core.SamplingConfig{}
+	pool := runner.NewPool(p.Parallelism)
+	defer pool.Close()
+	out := make([]T, len(specs))
+	g := pool.NewGroup()
+	for i, spec := range specs {
+		g.Go(func() (err error) {
+			out[i], err = fn(uncancelled(), pool, spec, p)
+			return err
+		})
+	}
+	return out, g.Wait()
+}
+
+// addRows fills t with the rows extension computed.
+func addRows(t *stats.Table, rows [][]string, err error) (*stats.Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range rows {
+		t.AddRow(r...)
+	}
+	return t, nil
+}
+
+// planDerived produces spec's matrix cells fdp24 and series, then an
+// FDP-24 config cell named name that mod derives from the matrix plan. It
+// returns the derived cell's stats and its table row's leading columns:
+// the workload and the series' and derived cell's speedups over fdp24.
+func planDerived(ctx context.Context, pool *runner.Pool, spec workload.Spec, p Params, series, name string, mod func(*core.Config, *asmdb.Plan) error) ([]string, core.Stats, error) {
+	var st [3]core.Stats
+	var cells []*Cell
+	for i, label := range []string{"fdp24", series} {
+		c, err := SeriesCell(spec, label, p)
+		if err != nil {
+			return nil, core.Stats{}, err
+		}
+		c.out, cells = &st[i], append(cells, c)
+	}
+	in := &inputs{spec: spec}
+	pes, err := runWaves(ctx, pool, in, cells, []planKey{p.matrixPlan(spec)}, p.plan(ctx, pool, in, nil))
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	c := core.DefaultConfig()
+	c.Name = name
+	if err := mod(&c, pes[0].Plan); err != nil {
+		return nil, core.Stats{}, err
+	}
+	cell, err := ConfigCell(spec, c, p)
+	if err != nil {
+		return nil, core.Stats{}, err
+	}
+	cell.out = &st[2]
+	_, err = runWaves(ctx, pool, in, []*Cell{cell}, nil, nil)
+	return []string{spec.Name, speedupCell(st[1], st[0]), speedupCell(st[2], st[0])}, st[2], err
+}
+
+// ExtensionPreload compares the §VI metadata-preloading prototype, compiled
+// from the matrix plan, against plain FDP and inserted-instruction AsmDB
+// (the matrix's fdp24 and asmdb+fdp24 cells) on the industry front-end.
+func ExtensionPreload(specs []workload.Spec, p Params) (*stats.Table, error) {
+	rows, err := extension(specs, p, func(ctx context.Context, pool *runner.Pool, spec workload.Spec, p Params) ([]string, error) {
+		var loader *preload.Preloader
+		row, pre, err := planDerived(ctx, pool, spec, p, "asmdb+fdp24", "preload+fdp24", func(c *core.Config, plan *asmdb.Plan) (err error) {
+			loader, err = preload.New(preload.DefaultConfig(), plan)
+			c.Frontend.Prefetcher = loader
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		missPct := 0.0
+		if ls := pre.Prefetcher; ls != nil && ls.Lookups > 0 {
+			missPct = 100 * float64(ls.MetadataMisses) / float64(ls.Lookups)
+		}
+		return append(row, fmt.Sprintf("%.2f", missPct), fmt.Sprint(loader.StoreEntries())), nil
+	})
 	t := stats.NewTable(
 		"Extension X1: metadata preloading on FDP-24 (IPC speedup over FDP-24)",
 		"workload", "asmdb-inserted", "preload", "preload-mdmiss%", "store-entries")
-	for _, spec := range specs {
-		pl, err := buildPipeline(spec, p)
-		if err != nil {
-			return nil, err
-		}
-		fdp, err := pl.run(core.DefaultConfig(), pl.prog, p)
-		if err != nil {
-			return nil, err
-		}
-		rewritten, _, err := asmdb.Apply(pl.prog, pl.plan)
-		if err != nil {
-			return nil, err
-		}
-		inserted, err := pl.run(core.DefaultConfig(), rewritten, p)
-		if err != nil {
-			return nil, err
-		}
-		loader, err := preload.New(preload.DefaultConfig(), pl.plan)
-		if err != nil {
-			return nil, err
-		}
-		c := core.DefaultConfig()
-		c.Frontend.Prefetcher = loader
-		pre, err := pl.run(c, pl.prog, p)
-		if err != nil {
-			return nil, err
-		}
-		ls := loader.Stats()
-		missPct := 0.0
-		if ls.Lookups > 0 {
-			missPct = 100 * float64(ls.MetadataMisses) / float64(ls.Lookups)
-		}
-		t.AddRow(spec.Name,
-			fmt.Sprintf("%.3f", ratio(inserted.IPC(), fdp.IPC())),
-			fmt.Sprintf("%.3f", ratio(pre.IPC(), fdp.IPC())),
-			fmt.Sprintf("%.2f", missPct),
-			fmt.Sprint(loader.StoreEntries()))
-	}
-	return t, nil
+	return addRows(t, rows, err)
 }
 
-// ExtensionISpy compares I-SPY's coalesced/conditional prefetching against
-// AsmDB on the industry front-end (both in trigger form, isolating the
-// targeting policies from insertion overhead).
+// ExtensionISpy compares I-SPY's coalesced/conditional prefetching, derived
+// from the matrix plan, against AsmDB on the industry front-end — both in
+// trigger form (AsmDB's is the matrix's asmdb-ideal+fdp24 cell),
+// isolating the targeting policies from insertion overhead.
 func ExtensionISpy(specs []workload.Spec, p Params) (*stats.Table, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+	rows, err := extension(specs, p, func(ctx context.Context, pool *runner.Pool, spec workload.Spec, p Params) ([]string, error) {
+		var iplan *ispy.Plan
+		row, _, err := planDerived(ctx, pool, spec, p, "asmdb-ideal+fdp24", "ispy+fdp24", func(c *core.Config, plan *asmdb.Plan) (err error) {
+			iplan, err = ispy.Transform(plan, ispy.DefaultOptions())
+			if err == nil {
+				c.Triggers = iplan.Triggers(nil)
+			}
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		return append(row, fmt.Sprintf("%.1f", 100*iplan.CoalescingSavings()), fmt.Sprint(iplan.Conditionals)), nil
+	})
 	t := stats.NewTable(
 		"Extension X3: I-SPY vs AsmDB triggers on FDP-24 (IPC speedup over FDP-24)",
 		"workload", "asmdb", "ispy", "coalesce-savings%", "conditionals")
-	for _, spec := range specs {
-		pl, err := buildPipeline(spec, p)
-		if err != nil {
-			return nil, err
-		}
-		fdp, err := pl.run(core.DefaultConfig(), pl.prog, p)
-		if err != nil {
-			return nil, err
-		}
-		c := core.DefaultConfig()
-		c.Triggers = asmdb.Triggers(pl.prog, pl.plan)
-		asm, err := pl.run(c, pl.prog, p)
-		if err != nil {
-			return nil, err
-		}
-		iplan, err := ispy.Transform(pl.plan, ispy.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		c = core.DefaultConfig()
-		c.Triggers = iplan.Triggers(nil)
-		isp, err := pl.run(c, pl.prog, p)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(spec.Name,
-			fmt.Sprintf("%.3f", ratio(asm.IPC(), fdp.IPC())),
-			fmt.Sprintf("%.3f", ratio(isp.IPC(), fdp.IPC())),
-			fmt.Sprintf("%.1f", 100*iplan.CoalescingSavings()),
-			fmt.Sprint(iplan.Conditionals))
-	}
-	return t, nil
+	return addRows(t, rows, err)
 }
 
-// ExtensionFeedback runs the §VI feedback-directed tuning loop per
-// workload and reports the chosen operating point.
+// ExtensionFeedback runs the §VI feedback-directed search per workload and
+// reports the chosen operating point.
 func ExtensionFeedback(specs []workload.Spec, p Params) (*stats.Table, error) {
-	if err := p.Validate(); err != nil {
+	res, err := extension(specs, p, feedbackSearch)
+	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable(
 		"Extension X2: feedback-directed software prefetching on FDP-24",
 		"workload", "baseline-ipc", "best-ipc", "speedup", "chosen-fanout", "chosen-sites", "insertions")
-	for _, spec := range specs {
-		pl, err := buildPipeline(spec, p)
-		if err != nil {
-			return nil, err
-		}
-		eval := core.DefaultConfig()
-		eval.WarmupInstrs, eval.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
-		eval.Audit = p.Audit
-		opts := feedback.DefaultOptions(eval, pl.seed)
-		res, err := feedback.Tune(pl.prog, pl.graph, opts)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(spec.Name,
-			fmt.Sprintf("%.3f", res.BaselineIPC),
-			fmt.Sprintf("%.3f", res.Best.IPC),
-			fmt.Sprintf("%.3f", res.Best.Speedup),
-			fmt.Sprintf("%.2f", res.Best.Fanout),
-			fmt.Sprint(res.Best.SitesPerTarget),
-			fmt.Sprint(res.Best.Insertions))
+	for i, r := range res {
+		t.AddRow(specs[i].Name,
+			fmt.Sprintf("%.3f", r.BaselineIPC),
+			fmt.Sprintf("%.3f", r.Best.IPC),
+			fmt.Sprintf("%.3f", r.Best.Speedup),
+			fmt.Sprintf("%.2f", r.Best.Fanout),
+			fmt.Sprint(r.Best.SitesPerTarget),
+			fmt.Sprint(r.Best.Insertions))
 	}
 	return t, nil
 }
 
-func ratio(a, b float64) float64 {
-	if b == 0 { //lint:allow exact-zero guard before division; any nonzero b, however small, must divide
-		return 0
+// FeedbackSearch runs X2's search on one workload: every candidate of the
+// grid around p.AsmDB measured on FDP-24, and the point the never-regress
+// rule chooses against the matrix's fdp24 cell.
+func FeedbackSearch(spec workload.Spec, p Params) (*feedback.Result, error) {
+	res, err := extension([]workload.Spec{spec}, p, feedbackSearch)
+	if err != nil {
+		return nil, err
 	}
-	return a / b
+	return res[0], nil
+}
+
+// feedbackSearch measures each grid point as a rewritten-program cell in
+// the matrix's plan family: profiled on the conservative baseline, built
+// with the point's options. p.AsmDB's own point is the matrix's
+// asmdb+fdp24 cell.
+func feedbackSearch(ctx context.Context, pool *runner.Pool, spec workload.Spec, p Params) (*feedback.Result, error) {
+	var base core.Stats
+	fdp, err := SeriesCell(spec, "fdp24", p)
+	if err != nil {
+		return nil, err
+	}
+	fdp.out = &base
+	points := feedback.DefaultOptions(p.AsmDB).Points()
+	keys := make([]planKey, len(points))
+	sts := make([]core.Stats, len(points))
+	cells, profiled := []*Cell{fdp}, p.matrixPlan(spec).ProfileConfig
+	for i, o := range points {
+		keys[i] = p.planKey(spec, o, profiled)
+		label := fmt.Sprintf("asmdb-f%.2f-s%d+fdp24", o.FanoutThreshold, o.MaxSitesPerTarget)
+		c, err := newCell(spec, label, core.DefaultConfig(), progAsmdb, &keys[i], p)
+		if err != nil {
+			return nil, err
+		}
+		c.out, cells = &sts[i], append(cells, c)
+	}
+	in := &inputs{spec: spec}
+	pes, err := runWaves(ctx, pool, in, cells, keys, p.plan(ctx, pool, in, nil))
+	if err != nil {
+		return nil, err
+	}
+	cands := make([]feedback.Candidate, len(points))
+	for i, o := range points {
+		cands[i] = feedback.Candidate{Fanout: o.FanoutThreshold, SitesPerTarget: o.MaxSitesPerTarget,
+			Insertions: len(pes[i].Plan.Insertions), IPC: sts[i].IPC()}
+	}
+	return feedback.Select(base.IPC(), cands)
 }

@@ -6,6 +6,7 @@ import (
 
 	"frontsim/internal/core"
 	"frontsim/internal/runner"
+	"frontsim/internal/stats"
 	"frontsim/internal/workload"
 )
 
@@ -69,28 +70,35 @@ func TestFastForwardEquivalence(t *testing.T) {
 
 // TestFastForwardAblationEquivalence extends the differential harness to
 // an ablation sweep (non-default FTQ depths, including the paper's
-// 2-entry conservative shape), comparing the fully rendered tables.
+// 2-entry conservative shape) and to X1's preloader cells, comparing the
+// fully rendered tables.
 func TestFastForwardAblationEquivalence(t *testing.T) {
 	spec, ok := workload.Lookup("secret_crypto52")
 	if !ok {
 		t.Fatal("suite workload missing")
 	}
 	specs := []workload.Spec{spec}
-	depths := []int{2, 8, 24}
-
-	p := tinyParams()
-	p.FastForward = false
-	off, err := AblationFTQDepth(specs, depths, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.FastForward = true
-	on, err := AblationFTQDepth(specs, depths, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.String() != on.String() {
-		t.Fatalf("ablation table diverges under fast-forward:\ncycle-by-cycle:\n%s\nfast-forward:\n%s", off, on)
+	for _, tc := range []struct {
+		name string
+		run  func(Params) (*stats.Table, error)
+	}{
+		{"ftq", func(p Params) (*stats.Table, error) { return AblationFTQDepth(specs, []int{2, 8, 24}, p) }},
+		{"preload", func(p Params) (*stats.Table, error) { return ExtensionPreload(specs, p) }},
+	} {
+		p := tinyParams()
+		p.FastForward = false
+		off, err := tc.run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.FastForward = true
+		on, err := tc.run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off.String() != on.String() {
+			t.Fatalf("%s table diverges under fast-forward:\ncycle-by-cycle:\n%s\nfast-forward:\n%s", tc.name, off, on)
+		}
 	}
 }
 

@@ -138,7 +138,8 @@ func TestSamplingConformance(t *testing.T) {
 // TestSamplingTableCI checks the rendered ablation tables carry ± columns
 // exactly when sampling is on: the A8 mechanism table gets confidence
 // half-widths on IPC and speedup cells under sampledParams and plain
-// values under tinyParams.
+// values under tinyParams. The extension tables always run exact, so
+// theirs are byte-identical under both.
 func TestSamplingTableCI(t *testing.T) {
 	specs := []workload.Spec{mustLookup(t, "public_srv_60")}
 	c, err := runner.OpenCache(t.TempDir())
@@ -162,6 +163,19 @@ func TestSamplingTableCI(t *testing.T) {
 	}
 	if s := tbl.String(); strings.Contains(s, "±") {
 		t.Fatalf("exact A8 table unexpectedly shows confidence intervals:\n%s", s)
+	}
+	for _, ext := range extensionTables {
+		sampled, err := ext.run(specs, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := ext.run(specs, pe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sampled.String() != exact.String() {
+			t.Errorf("%s: sampled table differs from exact:\n%s\n%s", ext.name, sampled, exact)
+		}
 	}
 }
 

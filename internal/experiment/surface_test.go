@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,7 +25,8 @@ func (s *closeCountingSink) SampleStride() int64 { return 4096 }
 func (s *closeCountingSink) Close() error        { s.closes.Add(1); return nil }
 
 // TestEvaluationSurfaceAudited runs the whole evaluation surface — the
-// ten-series matrix, all eight ablations and cold single cells — once
+// ten-series matrix, all eight ablations, the three extensions and cold
+// single cells — once
 // from a cold cache with per-cycle audit and both observability hooks on.
 // Audit panics on any violated invariant. The test pins the per-run
 // observer contract that cmd/frontbench's suite_cold relies on to time
@@ -87,6 +87,9 @@ func TestEvaluationSurfaceAudited(t *testing.T) {
 		{"wrongpath", func() error { _, err := AblationWrongPath(specs, []int{0, 4}, p); return err }},
 		{"btb", func() error { _, err := AblationBTB(specs, []int{0, 64}, p); return err }},
 		{"mechanism", func() error { _, err := AblationMechanism(specs, p); return err }},
+		{"preload", func() error { _, err := ExtensionPreload(specs, p); return err }},
+		{"ispy", func() error { _, err := ExtensionISpy(specs, p); return err }},
+		{"feedback", func() error { _, err := ExtensionFeedback(specs, p); return err }},
 	} {
 		if err := abl.run(); err != nil {
 			t.Fatalf("%s: %v", abl.name, err)
@@ -122,21 +125,7 @@ func TestEvaluationSurfaceAudited(t *testing.T) {
 
 	// Each live cell stores exactly one simulation entry, so the cache's
 	// sim entries count the live cells of the whole pass.
-	live := 0
-	for rel, b := range snapshotDir(t, dir) {
-		var e struct {
-			Key struct {
-				Kind string `json:"kind"`
-			} `json:"key"`
-		}
-		if err := json.Unmarshal(b, &e); err != nil {
-			t.Fatalf("cache entry %s: %v", rel, err)
-		}
-		if e.Key.Kind == "sim" {
-			live++
-		}
-	}
-	if len(sinks) != live {
+	if live := simEntries(t, dir); len(sinks) != live {
 		t.Errorf("ObsRun called %d times for %d live cells", len(sinks), live)
 	}
 	for _, s := range sinks {

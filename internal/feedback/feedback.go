@@ -5,19 +5,17 @@
 // spirit of AutoFDO-style feedback loops.
 //
 // The prototype is a guided search over AsmDB's aggressiveness knobs
-// (fanout threshold and sites-per-target): each candidate plan is applied
-// and run, and the best-measured binary wins. A candidate that degrades
-// IPC relative to the no-prefetch baseline is discarded, which is exactly
-// the adaptation the paper argues an aggressive front-end needs.
+// (fanout threshold and sites-per-target): each grid point's plan is
+// applied and measured (internal/experiment runs the points as cells),
+// and the best-measured binary wins. A candidate that does not beat the
+// no-prefetch baseline is discarded, which is exactly the adaptation the
+// paper argues an aggressive front-end needs.
 package feedback
 
 import (
 	"fmt"
 
 	"frontsim/internal/asmdb"
-	"frontsim/internal/cfg"
-	"frontsim/internal/core"
-	"frontsim/internal/program"
 )
 
 // Candidate is one evaluated tuning point.
@@ -37,19 +35,14 @@ type Candidate struct {
 type Result struct {
 	// BaselineIPC is the no-prefetch IPC on the evaluation config.
 	BaselineIPC float64
-	// Candidates lists every evaluated point in evaluation order.
+	// Candidates lists every evaluated point in grid order.
 	Candidates []Candidate
 	// Best is the winning candidate; Best.Insertions == 0 means the
 	// feedback loop chose to disable software prefetching entirely.
 	Best Candidate
-	// Program is the winning rewritten program (the original when
-	// prefetching is disabled).
-	Program *program.Program
-	// Plan is the winning plan (nil when disabled).
-	Plan *asmdb.Plan
 }
 
-// Options configures the tuning session.
+// Options is the search grid.
 type Options struct {
 	// Base is the starting AsmDB configuration.
 	Base asmdb.Options
@@ -58,72 +51,47 @@ type Options struct {
 	Fanouts []float64
 	// SiteCounts are the per-target insertion budgets to explore.
 	SiteCounts []int
-	// Eval is the machine configuration used for measurement runs.
-	Eval core.Config
-	// ExecSeed drives the executor for every run.
-	ExecSeed uint64
 }
 
-// DefaultOptions explores a small grid around the paper's configuration.
-func DefaultOptions(eval core.Config, seed uint64) Options {
+// DefaultOptions explores a small grid around base.
+func DefaultOptions(base asmdb.Options) Options {
 	return Options{
-		Base:       asmdb.DefaultOptions(),
+		Base:       base,
 		Fanouts:    []float64{0.2, 0.3, 0.5},
 		SiteCounts: []int{2, 4},
-		Eval:       eval,
-		ExecSeed:   seed,
 	}
 }
 
-// Tune runs the feedback loop: measure the baseline, then measure each
-// candidate rewriting, and keep the best binary. The profiled graph is
-// reused across candidates (the §VI point: feedback avoids re-profiling).
-func Tune(prog *program.Program, graph *cfg.Graph, opts Options) (*Result, error) {
-	if len(opts.Fanouts) == 0 || len(opts.SiteCounts) == 0 {
+// Points returns the AsmDB options of every grid point, fanout-major:
+// the order Select breaks ties in.
+func (o Options) Points() []asmdb.Options {
+	var out []asmdb.Options
+	for _, fanout := range o.Fanouts {
+		for _, sites := range o.SiteCounts {
+			p := o.Base
+			p.FanoutThreshold, p.MaxSitesPerTarget = fanout, sites
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// Select applies the never-regress rule to the measured candidates, in
+// grid order: the first candidate with the highest IPC wins, and none
+// wins unless it beats the baseline, whose floor keeps software
+// prefetching from ever being a regression. An empty grid is rejected.
+func Select(baselineIPC float64, cands []Candidate) (*Result, error) {
+	if len(cands) == 0 {
 		return nil, fmt.Errorf("feedback: empty search grid")
 	}
-	base, err := core.RunSource(opts.Eval, program.NewExecutor(prog, opts.ExecSeed))
-	if err != nil {
-		return nil, fmt.Errorf("feedback: baseline: %w", err)
-	}
-	res := &Result{
-		BaselineIPC: base.IPC(),
-		Best:        Candidate{IPC: base.IPC(), Speedup: 1},
-		Program:     prog,
-	}
-
-	for _, fanout := range opts.Fanouts {
-		for _, sites := range opts.SiteCounts {
-			o := opts.Base
-			o.FanoutThreshold = fanout
-			o.MaxSitesPerTarget = sites
-			plan, err := asmdb.Build(graph, o)
-			if err != nil {
-				return nil, fmt.Errorf("feedback: plan fanout=%v sites=%d: %w", fanout, sites, err)
-			}
-			rewritten, _, err := asmdb.Apply(prog, plan)
-			if err != nil {
-				return nil, fmt.Errorf("feedback: apply: %w", err)
-			}
-			st, err := core.RunSource(opts.Eval, program.NewExecutor(rewritten, opts.ExecSeed))
-			if err != nil {
-				return nil, fmt.Errorf("feedback: run: %w", err)
-			}
-			c := Candidate{
-				Fanout:         fanout,
-				SitesPerTarget: sites,
-				Insertions:     len(plan.Insertions),
-				IPC:            st.IPC(),
-			}
-			if res.BaselineIPC > 0 {
-				c.Speedup = c.IPC / res.BaselineIPC
-			}
-			res.Candidates = append(res.Candidates, c)
-			if c.IPC > res.Best.IPC {
-				res.Best = c
-				res.Program = rewritten
-				res.Plan = plan
-			}
+	res := &Result{BaselineIPC: baselineIPC, Best: Candidate{IPC: baselineIPC, Speedup: 1}}
+	for _, c := range cands {
+		if baselineIPC > 0 {
+			c.Speedup = c.IPC / baselineIPC
+		}
+		res.Candidates = append(res.Candidates, c)
+		if c.IPC > res.Best.IPC {
+			res.Best = c
 		}
 	}
 	return res, nil

@@ -20,6 +20,7 @@ import (
 
 	"frontsim/internal/asmdb"
 	"frontsim/internal/cache"
+	"frontsim/internal/core"
 	"frontsim/internal/isa"
 )
 
@@ -58,14 +59,6 @@ type l1Entry struct {
 	targets []isa.Addr
 }
 
-// Stats counts the preloader's behaviour.
-type Stats struct {
-	Lookups        int64
-	L1Hits         int64
-	MetadataMisses int64 // trigger present in the store but not L1-cached
-	Prefetches     int64
-}
-
 // Preloader is the metadata-driven prefetch engine.
 type Preloader struct {
 	cfg Config
@@ -73,7 +66,7 @@ type Preloader struct {
 	store map[isa.Addr][]isa.Addr
 	l1    []l1Entry
 
-	stats Stats
+	stats core.PrefetcherStats
 }
 
 // New builds a preloader whose store is compiled from an AsmDB plan: each
@@ -103,8 +96,9 @@ func New(cfg Config, plan *asmdb.Plan) (*Preloader, error) {
 // (the binary's metadata section size, in entries).
 func (p *Preloader) StoreEntries() int { return len(p.store) }
 
-// Stats returns a snapshot of counters.
-func (p *Preloader) Stats() Stats { return p.stats }
+// PrefetchCounters implements core.PrefetchCounter: a snapshot of the
+// preloader's counters.
+func (p *Preloader) PrefetchCounters() core.PrefetcherStats { return p.stats }
 
 func (p *Preloader) slot(line isa.Addr) *l1Entry {
 	return &p.l1[line.LineIndex()&uint64(p.cfg.L1Entries-1)]

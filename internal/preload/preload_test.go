@@ -60,8 +60,8 @@ func TestMetadataMissThenHit(t *testing.T) {
 	if len(issued) != 0 {
 		t.Fatal("prefetched before metadata arrived")
 	}
-	if p.Stats().MetadataMisses != 1 {
-		t.Fatalf("stats %+v", p.Stats())
+	if p.PrefetchCounters().MetadataMisses != 1 {
+		t.Fatalf("stats %+v", p.PrefetchCounters())
 	}
 	// Before the fill completes: still nothing.
 	p.OnFetch(0x1000, 20, false, issue)
@@ -79,7 +79,7 @@ func TestMetadataMissThenHit(t *testing.T) {
 			t.Fatalf("unexpected prefetch %v", l)
 		}
 	}
-	st := p.Stats()
+	st := p.PrefetchCounters()
 	if st.L1Hits != 1 || st.Prefetches != 2 || st.Lookups != 3 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -88,7 +88,7 @@ func TestMetadataMissThenHit(t *testing.T) {
 func TestUnknownLineIsQuiet(t *testing.T) {
 	p, _ := New(DefaultConfig(), testPlan())
 	p.OnFetch(0xdead000, 0, false, func(isa.Addr) { t.Fatal("issued for unknown line") })
-	if p.Stats().MetadataMisses != 0 {
+	if p.PrefetchCounters().MetadataMisses != 0 {
 		t.Fatal("unknown line counted as metadata miss")
 	}
 }
@@ -131,7 +131,7 @@ func TestConflictEviction(t *testing.T) {
 	p.OnFetch(0x5000, 2, false, issue) // conflict miss, installs over
 	p.OnFetch(0x5000, 3, false, issue) // hit: 1 prefetch
 	p.OnFetch(0x1000, 4, false, issue) // must re-miss
-	st := p.Stats()
+	st := p.PrefetchCounters()
 	if st.MetadataMisses != 3 {
 		t.Fatalf("metadata misses = %d, want 3", st.MetadataMisses)
 	}

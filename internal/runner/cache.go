@@ -22,7 +22,7 @@ import (
 // A nil *Cache is valid and behaves as an always-miss, discard-writes
 // cache, which is how -no-cache is implemented.
 type Cache struct {
-	dir               string
+	dir                string
 	hits, misses, puts atomic.Int64
 }
 
