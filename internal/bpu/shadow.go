@@ -104,7 +104,14 @@ func NewShadowDecoder(cfg ShadowConfig) (*ShadowDecoder, error) {
 	if !cfg.Enabled() {
 		return nil, fmt.Errorf("bpu: constructing a disabled shadow decoder")
 	}
-	return &ShadowDecoder{cfg: cfg, table: make([]shadowLine, cfg.LineEntries)}, nil
+	d := &ShadowDecoder{cfg: cfg, table: make([]shadowLine, cfg.LineEntries)}
+	// Every record's branch list is a full-capacity window of one array,
+	// so Observe appends without allocating.
+	branches := make([]ShadowBranch, cfg.LineEntries*cfg.MaxPerLine)
+	for i := range d.table {
+		d.table[i].branches = branches[i*cfg.MaxPerLine : i*cfg.MaxPerLine : (i+1)*cfg.MaxPerLine]
+	}
+	return d, nil
 }
 
 // Stats returns a snapshot of the decoder counters.

@@ -13,6 +13,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"frontsim/internal/isa"
 	"frontsim/internal/obs"
@@ -61,7 +62,7 @@ func (k ReplKind) String() string {
 type LevelConfig struct {
 	Name string
 	// SizeBytes and Ways determine the set count (SizeBytes / LineSize /
-	// Ways), which must come out a power of two.
+	// Ways), which must come out a power of two. Ways is at most 64.
 	SizeBytes int
 	Ways      int
 	// HitLatency is the cycles from access to data at this level.
@@ -76,6 +77,9 @@ func (c LevelConfig) Sets() int { return c.SizeBytes / isa.LineSize / c.Ways }
 func (c LevelConfig) Validate() error {
 	if c.Ways <= 0 || c.SizeBytes <= 0 {
 		return fmt.Errorf("cache %s: non-positive geometry", c.Name)
+	}
+	if c.Ways > maxWays {
+		return fmt.Errorf("cache %s: %d ways, more than %d", c.Name, c.Ways, maxWays)
 	}
 	sets := c.Sets()
 	if sets <= 0 || sets&(sets-1) != 0 {
@@ -120,46 +124,51 @@ func (s *Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-type line struct {
-	tag      uint64
-	valid    bool
-	ready    Cycle // fill completion; line usable for hits at/after this
-	prefetch bool  // filled by a prefetch and not yet demanded
-}
-
 // Backend is anything a Level can miss to.
 type Backend interface {
 	// Access requests lineAddr at cycle now and returns availability time.
 	Access(lineAddr isa.Addr, now Cycle, kind AccessKind) Cycle
 }
 
+// A set record is the whole state of one set, stride words long, so an
+// access reads one short run of memory instead of one array per field.
+// Words, for a level of W ways:
+//
+//	recMarks               prefetch marks: bit i is set while way i holds a
+//	                       prefetched line no demand has touched yet
+//	recMeta                the MRU hint in the low 32 bits, the count of
+//	                       valid ways in the high 32
+//	recKeys   .. +W        per-way key: tag+1 when valid, 0 when not
+//	recKeys+W .. +2W       per-way replacement word: the LRU stamp or the
+//	                       SRRIP re-reference value, by cfg.Repl
+//	recKeys+2W .. +3W      per-way ready cycle: fill completion, the line is
+//	                       usable for hits at or after it
+//
+// Valid ways always form a prefix: a fill takes the first invalid way, and
+// only Flush invalidates, all ways at once. So the valid count is also the
+// first invalid way.
+const (
+	recMarks = iota
+	recMeta
+	recKeys
+)
+
+// maxWays bounds associativity: the prefetch marks are one word per set.
+const maxWays = 64
+
 // Level is one set-associative cache level.
 type Level struct {
 	cfg      LevelConfig
-	sets     int
-	shift    uint
-	tagShift uint // when sets is a power of two, tagOf is a single shift
+	stride   int  // words per set record, recKeys + 3*Ways
+	shift    uint // log2(LineSize)
+	tagShift uint // log2(LineSize * sets): the tag is what lies above the set index
 	mask     uint64
-	lines    []line // sets*ways, row-major
-	// keys mirrors lines: tag+1 when the way is valid, 0 when not. The hit
-	// scan walks this dense array instead of the line structs, one cache
-	// line of keys covering eight ways.
-	keys []uint64
-	// repl mirrors lines with per-way replacement state — the LRU
-	// timestamp or the SRRIP re-reference value, depending on cfg.Repl —
-	// so the victim scan is dense too.
-	repl []uint64
-	// mru holds each set's last-hit (or last-filled) way. Instruction and
-	// data streams re-touch the same line in bursts, so checking the hint
-	// before the way scan turns most hits into a single compare. Purely a
-	// scan-order shortcut: hits, misses, victims and timing are identical
-	// with or without it.
-	mru    []int32
-	lruClk uint64
-	next   Backend
-	rng    *xrand.Rand
-	sink   obs.Sink // nil when observation is off
-	stats  Stats
+	recs     []uint64 // one record per set, row-major
+	lruClk   uint64
+	next     Backend
+	rng      *xrand.Rand
+	sink     obs.Sink // nil when observation is off
+	stats    Stats
 }
 
 // NewLevel builds a level whose misses go to next.
@@ -171,29 +180,16 @@ func NewLevel(cfg LevelConfig, next Backend) (*Level, error) {
 		return nil, fmt.Errorf("cache %s: nil backend", cfg.Name)
 	}
 	sets := cfg.Sets()
-	shift := uint(0)
-	for 1<<shift < isa.LineSize {
-		shift++
-	}
 	l := &Level{
-		cfg:   cfg,
-		sets:  sets,
-		shift: shift,
-		mask:  uint64(sets - 1),
-		lines: make([]line, sets*cfg.Ways),
-		keys:  make([]uint64, sets*cfg.Ways),
-		repl:  make([]uint64, sets*cfg.Ways),
-		mru:   make([]int32, sets),
-		next:  next,
-		rng:   xrand.New(0xcafe ^ uint64(len(cfg.Name))),
+		cfg:    cfg,
+		stride: recKeys + 3*cfg.Ways,
+		shift:  uint(bits.TrailingZeros(isa.LineSize)),
+		mask:   uint64(sets - 1),
+		next:   next,
+		rng:    xrand.New(0xcafe ^ uint64(len(cfg.Name))),
 	}
-	if sets&(sets-1) == 0 {
-		ts := shift
-		for 1<<(ts-shift) < sets {
-			ts++
-		}
-		l.tagShift = ts
-	}
+	l.tagShift = l.shift + uint(bits.TrailingZeros(uint(sets)))
+	l.recs = make([]uint64, sets*l.stride)
 	return l, nil
 }
 
@@ -214,24 +210,34 @@ func (l *Level) setIndex(lineAddr isa.Addr) int {
 	return int((uint64(lineAddr) >> l.shift) & l.mask)
 }
 
-func (l *Level) tagOf(lineAddr isa.Addr) uint64 {
-	if l.tagShift != 0 {
-		return uint64(lineAddr) >> l.tagShift
-	}
-	return uint64(lineAddr) >> l.shift / uint64(l.sets)
+// record returns lineAddr's set record and the key its tag is stored as.
+func (l *Level) record(lineAddr isa.Addr) ([]uint64, uint64) {
+	base := l.setIndex(lineAddr) * l.stride
+	return l.recs[base : base+l.stride : base+l.stride], uint64(lineAddr)>>l.tagShift + 1
 }
 
-func (l *Level) setSlice(set int) []line {
-	return l.lines[set*l.cfg.Ways : (set+1)*l.cfg.Ways]
+// find returns the way of rec holding key, or -1. The MRU hint is checked
+// before the scan: instruction and data streams re-touch the same line in
+// bursts, so most hits cost one compare. A scan hit moves the hint. The
+// hint only orders the search; what is found is the same without it.
+func (l *Level) find(rec []uint64, key uint64) int {
+	keys := rec[recKeys : recKeys+l.cfg.Ways]
+	if h := int(uint32(rec[recMeta])); keys[h] == key {
+		return h
+	}
+	for i, k := range keys {
+		if k == key {
+			rec[recMeta] = rec[recMeta]&^0xffffffff | uint64(i)
+			return i
+		}
+	}
+	return -1
 }
 
 // Access implements Backend. lineAddr must be line-aligned.
 func (l *Level) Access(lineAddr isa.Addr, now Cycle, kind AccessKind) Cycle {
 	lineAddr = lineAddr.Line()
-	set := l.setIndex(lineAddr)
-	key := l.tagOf(lineAddr) + 1
-	base := set * l.cfg.Ways
-	keys := l.keys[base : base+l.cfg.Ways]
+	rec, key := l.record(lineAddr)
 
 	if kind == Demand {
 		l.stats.Accesses++
@@ -239,34 +245,22 @@ func (l *Level) Access(lineAddr isa.Addr, now Cycle, kind AccessKind) Cycle {
 		l.stats.PrefetchReqs++
 	}
 
-	wi := -1
-	if h := int(l.mru[set]); keys[h] == key {
-		wi = h
-	} else {
-		for i, k := range keys {
-			if k == key {
-				wi = i
-				l.mru[set] = int32(i)
-				break
-			}
-		}
-	}
-	if wi >= 0 {
+	if wi := l.find(rec, key); wi >= 0 {
 		// Present (possibly still in flight).
-		w := &l.lines[base+wi]
+		ready := Cycle(rec[recKeys+2*l.cfg.Ways+wi])
 		if kind == Demand {
 			l.stats.Hits++
-			if w.prefetch {
+			if bit := uint64(1) << wi; rec[recMarks]&bit != 0 {
 				l.stats.PrefetchHits++
-				w.prefetch = false
+				rec[recMarks] &^= bit
 			}
-			if w.ready > now {
+			if ready > now {
 				l.stats.MergedInflight++
 			}
 		}
-		l.touch(base + wi)
-		if w.ready > now {
-			return w.ready
+		l.touch(rec, wi)
+		if ready > now {
+			return ready
 		}
 		return now + l.cfg.HitLatency
 	}
@@ -277,85 +271,81 @@ func (l *Level) Access(lineAddr isa.Addr, now Cycle, kind AccessKind) Cycle {
 		l.stats.Misses++
 	}
 	ready := l.next.Access(lineAddr, now+l.cfg.HitLatency, kind)
-	vi := l.victim(base)
-	v := &l.lines[base+vi]
-	if v.valid {
-		l.stats.Evictions++
-		if v.prefetch {
-			l.stats.PrefetchEvictedUnused++
-		}
-	}
-	*v = line{tag: key - 1, valid: true, ready: ready, prefetch: kind == Prefetch}
-	keys[vi] = key
-	l.mru[set] = int32(vi)
+	l.install(rec, key, ready, kind == Prefetch, &l.stats)
 	if kind == Prefetch {
 		l.stats.PrefetchFills++
 		if l.sink != nil {
 			l.sink.Event(obs.Event{Cycle: now, Kind: obs.EvPrefetchFill, Addr: uint64(lineAddr), Arg: ready - now})
 		}
 	}
-	l.fill(base + vi)
 	return ready
 }
 
-// Probe reports whether the line is present (even in flight) without any
-// side effects. Used by hardware prefetchers to filter redundant requests
-// and by tests.
+// Probe reports whether the line is present (even in flight). It moves no
+// counter and no line's replacement state. Used by hardware prefetchers to
+// filter redundant requests and by tests.
 func (l *Level) Probe(lineAddr isa.Addr) bool {
-	lineAddr = lineAddr.Line()
-	set := l.setIndex(lineAddr)
-	tag := l.tagOf(lineAddr)
-	for _, w := range l.setSlice(set) {
-		if w.valid && w.tag == tag {
-			return true
-		}
-	}
-	return false
+	rec, key := l.record(lineAddr.Line())
+	return l.find(rec, key) >= 0
 }
 
 // Ready returns the availability cycle of the line if present.
 func (l *Level) Ready(lineAddr isa.Addr) (Cycle, bool) {
-	lineAddr = lineAddr.Line()
-	set := l.setIndex(lineAddr)
-	tag := l.tagOf(lineAddr)
-	for i := range l.setSlice(set) {
-		w := &l.setSlice(set)[i]
-		if w.valid && w.tag == tag {
-			return w.ready, true
-		}
+	rec, key := l.record(lineAddr.Line())
+	if wi := l.find(rec, key); wi >= 0 {
+		return Cycle(rec[recKeys+2*l.cfg.Ways+wi]), true
 	}
 	return 0, false
 }
 
-func (l *Level) touch(idx int) {
-	switch l.cfg.Repl {
-	case ReplLRU, ReplRandom:
-		l.lruClk++
-		l.repl[idx] = l.lruClk
-	case ReplSRRIP:
-		l.repl[idx] = 0
-	}
-}
-
-func (l *Level) fill(idx int) {
-	switch l.cfg.Repl {
-	case ReplLRU, ReplRandom:
-		l.lruClk++
-		l.repl[idx] = l.lruClk
-	case ReplSRRIP:
-		l.repl[idx] = 2 // long re-reference interval on insertion
-	}
-}
-
-func (l *Level) victim(base int) int {
-	w := l.cfg.Ways
-	// Prefer an invalid way (key 0).
-	for i, k := range l.keys[base : base+w] {
-		if k == 0 {
-			return i
+// install fills key into rec's victim way with the given ready cycle and
+// prefetch mark, and makes it the MRU way. An evicted line is counted in
+// st; a nil st counts nothing.
+func (l *Level) install(rec []uint64, key uint64, ready Cycle, prefetch bool, st *Stats) {
+	vi := l.victim(rec)
+	bit := uint64(1) << vi
+	if n := int(rec[recMeta] >> 32); vi < n {
+		if st != nil {
+			st.Evictions++
+			if rec[recMarks]&bit != 0 {
+				st.PrefetchEvictedUnused++
+			}
 		}
+		rec[recMeta] = uint64(n)<<32 | uint64(vi)
+	} else {
+		rec[recMeta] = uint64(n+1)<<32 | uint64(vi)
 	}
-	repl := l.repl[base : base+w]
+	if prefetch {
+		rec[recMarks] |= bit
+	} else {
+		rec[recMarks] &^= bit
+	}
+	rec[recKeys+vi] = key
+	rec[recKeys+2*l.cfg.Ways+vi] = uint64(ready)
+	l.touch(rec, vi)
+	if l.cfg.Repl == ReplSRRIP {
+		rec[recKeys+l.cfg.Ways+vi] = 2 // long re-reference interval on insertion
+	}
+}
+
+func (l *Level) touch(rec []uint64, wi int) {
+	switch l.cfg.Repl {
+	case ReplLRU, ReplRandom:
+		l.lruClk++
+		rec[recKeys+l.cfg.Ways+wi] = l.lruClk
+	case ReplSRRIP:
+		rec[recKeys+l.cfg.Ways+wi] = 0
+	}
+}
+
+// victim picks the way a fill replaces: the first invalid way while the set
+// has one, else by policy.
+func (l *Level) victim(rec []uint64) int {
+	w := l.cfg.Ways
+	if n := int(rec[recMeta] >> 32); n < w {
+		return n
+	}
+	repl := rec[recKeys+w : recKeys+2*w]
 	switch l.cfg.Repl {
 	case ReplRandom:
 		return l.rng.Intn(w)
@@ -363,29 +353,23 @@ func (l *Level) victim(base int) int {
 		// Equivalent to the textbook scan-then-age loop: every way ages by
 		// the same amount (3 minus the current maximum), and the victim is
 		// the first way holding that maximum.
-		var maxR uint64
-		for _, r := range repl {
+		v, maxR := 0, repl[0]
+		for i, r := range repl {
 			if r > maxR {
-				maxR = r
+				v, maxR = i, r
 			}
 		}
 		if maxR < 3 {
-			d := 3 - maxR
 			for i := range repl {
-				repl[i] += d
+				repl[i] += 3 - maxR
 			}
 		}
+		return v
+	default: // LRU: the first way holding the oldest stamp
+		v, minR := 0, repl[0]
 		for i, r := range repl {
-			if r >= 3 {
-				return i
-			}
-		}
-		panic("cache: SRRIP victim scan found no way")
-	default: // LRU
-		v := 0
-		for i := 1; i < w; i++ {
-			if repl[i] < repl[v] {
-				v = i
+			if r < minR {
+				v, minR = i, r
 			}
 		}
 		return v
@@ -393,16 +377,7 @@ func (l *Level) victim(base int) int {
 }
 
 // Flush invalidates every line (used between experiment phases).
-func (l *Level) Flush() {
-	for i := range l.lines {
-		l.lines[i] = line{}
-		l.keys[i] = 0
-		l.repl[i] = 0
-	}
-	for i := range l.mru {
-		l.mru[i] = 0
-	}
-}
+func (l *Level) Flush() { clear(l.recs) }
 
 // DRAMConfig models main memory timing.
 type DRAMConfig struct {

@@ -30,15 +30,20 @@ func smallLevel(t *testing.T, ways int, repl ReplKind, back Backend) *Level {
 }
 
 func TestLevelConfigValidate(t *testing.T) {
-	good := LevelConfig{Name: "ok", SizeBytes: 32 << 10, Ways: 8, HitLatency: 4}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
+	for _, good := range []LevelConfig{
+		{Name: "ok", SizeBytes: 32 << 10, Ways: 8, HitLatency: 4},
+		{Name: "64-way", SizeBytes: 64 * isa.LineSize, Ways: 64},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	bad := []LevelConfig{
 		{Name: "zero", SizeBytes: 0, Ways: 8},
 		{Name: "noways", SizeBytes: 1024, Ways: 0},
 		{Name: "nonpow2", SizeBytes: 3 * isa.LineSize * 2, Ways: 2}, // 3 sets
 		{Name: "neg", SizeBytes: 32 << 10, Ways: 8, HitLatency: -1},
+		{Name: "ways>64", SizeBytes: 128 * isa.LineSize, Ways: 128}, // one set; the prefetch marks are one word
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -23,27 +23,10 @@ import "frontsim/internal/isa"
 //   - no counter moves, so measured-window statistics see none of it.
 func (l *Level) Warm(lineAddr isa.Addr) {
 	lineAddr = lineAddr.Line()
-	set := l.setIndex(lineAddr)
-	key := l.tagOf(lineAddr) + 1
-	base := set * l.cfg.Ways
-	keys := l.keys[base : base+l.cfg.Ways]
-
-	wi := -1
-	if h := int(l.mru[set]); keys[h] == key {
-		wi = h
-	} else {
-		for i, k := range keys {
-			if k == key {
-				wi = i
-				l.mru[set] = int32(i)
-				break
-			}
-		}
-	}
-	if wi >= 0 {
-		w := &l.lines[base+wi]
-		w.prefetch = false
-		l.touch(base + wi)
+	rec, key := l.record(lineAddr)
+	if wi := l.find(rec, key); wi >= 0 {
+		rec[recMarks] &^= 1 << wi
+		l.touch(rec, wi)
 		return
 	}
 
@@ -52,11 +35,7 @@ func (l *Level) Warm(lineAddr isa.Addr) {
 	if nl, ok := l.next.(*Level); ok {
 		nl.Warm(lineAddr)
 	}
-	vi := l.victim(base)
-	l.lines[base+vi] = line{tag: key - 1, valid: true}
-	keys[vi] = key
-	l.mru[set] = int32(vi)
-	l.fill(base + vi)
+	l.install(rec, key, 0, false, nil)
 }
 
 // Warm installs pc's translation with no statistics side effects: a

@@ -16,10 +16,13 @@ type plainSource struct{ src trace.Source }
 func (p plainSource) Next() (isa.Instr, error) { return p.src.Next() }
 
 // TestBlockSourceEquivalence pins the block-level fill path against the
-// incremental one: the same executor stream fed through both must produce
-// byte-identical statistics. The incremental path defines the block
-// boundary semantics; this is the differential harness that lets
-// BlockSource implementations be trusted on the hot path.
+// incremental one: the same executor stream fed through three paths must
+// produce byte-identical statistics. The incremental path defines the
+// block boundary semantics; RunSource reads blocks ahead on a second
+// goroutine; a Step-driven loop reads them on the simulating goroutine,
+// with no read-ahead. This is the differential harness that lets
+// BlockSource implementations and the read-ahead be trusted on the hot
+// path.
 func TestBlockSourceEquivalence(t *testing.T) {
 	for _, name := range []string{"secret_srv12", "secret_crypto52"} {
 		for _, conservative := range []bool{false, true} {
@@ -29,17 +32,24 @@ func TestBlockSourceEquivalence(t *testing.T) {
 			}
 			t.Run(name+"/"+cfgName, func(t *testing.T) {
 				t.Parallel()
-				run := func(plain bool) []byte {
+				run := func(path string) []byte {
 					cfg := smallConfig(cfgName, conservative)
 					src := source(t, name)
 					if _, ok := trace.AsBlockSource(src); !ok {
 						t.Fatal("suite source is not block-capable; the fast path is untested")
 					}
-					if plain {
+					if path == "incremental" {
 						src = plainSource{src}
 					}
-					st, err := RunSource(cfg, src)
-					if err != nil {
+					var st Stats
+					var err error
+					if path == "step" {
+						sim := newSim(t, cfg, src)
+						for !sim.Done() {
+							sim.Step()
+						}
+						st = sim.Snapshot()
+					} else if st, err = RunSource(cfg, src); err != nil {
 						t.Fatal(err)
 					}
 					j, err := st.CanonicalJSON()
@@ -48,10 +58,11 @@ func TestBlockSourceEquivalence(t *testing.T) {
 					}
 					return j
 				}
-				inc := run(true)
-				blk := run(false)
-				if !bytes.Equal(inc, blk) {
-					t.Errorf("stats diverge between fill paths:\nincremental: %s\nblock:       %s", inc, blk)
+				inc := run("incremental")
+				for _, path := range []string{"read-ahead", "step"} {
+					if blk := run(path); !bytes.Equal(inc, blk) {
+						t.Errorf("stats diverge between fill paths:\nincremental: %s\n%s: %s", inc, path, blk)
+					}
 				}
 			})
 		}

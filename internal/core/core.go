@@ -216,6 +216,10 @@ type Sim struct {
 
 	// samp is the sampled-mode controller, nil for exact runs.
 	samp *samplingState
+
+	// ra reads a block source's runs ahead of the front-end while RunCtx
+	// runs; nil when the source yields single instructions.
+	ra *trace.ReadAhead
 }
 
 // New builds a simulator over the given true-path source.
@@ -228,6 +232,12 @@ func New(cfg Config, src trace.Source) (*Sim, error) {
 		return nil, err
 	}
 	s := &Sim{cfg: cfg, mem: mem, buf: make([]isa.Instr, 0, cfg.DecodeWidth)}
+	if bs, ok := trace.AsBlockSource(src); ok {
+		// The front-end asks for every run with MaxBlockInstrs, so that is
+		// what the producer reads.
+		s.ra = trace.NewReadAhead(bs, ftq.MaxBlockInstrs)
+		src = s.ra
+	}
 	fe, err := frontend.New(cfg.Frontend, src, mem, cfg.Triggers)
 	if err != nil {
 		return nil, err
@@ -370,7 +380,17 @@ const cancelCheckInterval = 4096
 // Cancellation never perturbs a run that completes: the poll is pure
 // observation, so a run that finishes before its context dies is
 // byte-identical to an uncancelled one (TestRunCtxObservational).
+//
+// The source belongs to RunCtx while it runs. A block source is read on a
+// second goroutine, ahead of the front-end, in the same runs the front-end
+// would read itself; that goroutine is joined on every path out of RunCtx,
+// and a panic in the source is re-raised here with the same value. Runs
+// it read ahead and the run did not use stay queued for later Steps.
 func (s *Sim) RunCtx(ctx context.Context) (Stats, error) {
+	if s.ra != nil {
+		s.ra.Start()
+		defer s.ra.Stop()
+	}
 	const idleLimit = 1_000_000 // cycles without retirement => wedged
 	idle := cache.Cycle(0)
 	cancellable := ctx.Done() != nil

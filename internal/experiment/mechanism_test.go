@@ -2,11 +2,14 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"frontsim/internal/core"
+	"frontsim/internal/program"
 	"frontsim/internal/runner"
 	"frontsim/internal/workload"
 )
@@ -258,4 +261,45 @@ func FuzzMechanismFingerprint(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestMechanismsAllocationFree runs every Mechanisms() row through
+// core.RunCtx and holds the run to at most 0.1 heap allocations per
+// thousand instructions: the fetch loop, every prefetcher and the shadow
+// decoder allocate nothing per instruction, whatever the mechanism. New's
+// own allocations are not counted.
+func TestMechanismsAllocationFree(t *testing.T) {
+	spec, ok := workload.Lookup("secret_srv12")
+	if !ok {
+		t.Fatal("workload missing")
+	}
+	prog, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	p.WarmupInstrs, p.MeasureInstrs = 100_000, 400_000
+	for _, m := range Mechanisms() {
+		cfg, err := m.Config(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := core.New(cfg, program.NewExecutor(prog, spec.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = sim.RunCtx(context.Background())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		instrs := cfg.WarmupInstrs + cfg.MaxInstrs
+		perK := float64(after.Mallocs-before.Mallocs) / float64(instrs) * 1000
+		t.Logf("%s: %.3f allocations per kilo-instruction", m.Label, perK)
+		if perK > 0.1 {
+			t.Errorf("%s: %.3f allocations per kilo-instruction, want at most 0.1", m.Label, perK)
+		}
+	}
 }

@@ -241,51 +241,53 @@ func TestLongTierSampledRun(t *testing.T) {
 	}
 }
 
-// TestSampledMatrixSingleProc runs the pinned sampled mode's cells with
-// one P and with the default count. Functional warming runs as two
-// goroutines; with one P they interleave through the chunk hand-off
-// instead of overlapping, and every cell must come out byte-identical
-// (and must come out at all: a hand-off that needs both stages running at
-// once would deadlock here).
+// TestSampledMatrixSingleProc runs the pinned exact and sampled modes'
+// cells with one P and with the default count. An exact run reads its
+// stream on a second goroutine, and functional warming runs as two more;
+// with one P they interleave through the chunk hand-offs instead of
+// overlapping, and every cell must come out byte-identical (and must come
+// out at all: a hand-off that needs both sides running at once would
+// deadlock here).
 func TestSampledMatrixSingleProc(t *testing.T) {
 	spec, ok := workload.Lookup(digestWorkloads[0])
 	if !ok {
 		t.Fatal("workload missing")
 	}
-	p := digestModes()[1].p
-	run := func(procs int) *Matrix {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		done := make(chan *Matrix, 1)
-		go func() {
-			m, err := RunMatrix(spec, 1, p)
-			if err != nil {
-				t.Error(err)
+	for _, mode := range digestModes() {
+		run := func(procs int) *Matrix {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			done := make(chan *Matrix, 1)
+			go func() {
+				m, err := RunMatrix(spec, 1, mode.p)
+				if err != nil {
+					t.Error(err)
+				}
+				done <- m
+			}()
+			select {
+			case m := <-done:
+				return m
+			case <-time.After(2 * time.Minute):
+				t.Fatalf("%s matrix with GOMAXPROCS(%d) did not finish", mode.name, procs)
+				return nil
 			}
-			done <- m
-		}()
-		select {
-		case m := <-done:
-			return m
-		case <-time.After(2 * time.Minute):
-			t.Fatalf("sampled matrix with GOMAXPROCS(%d) did not finish", procs)
-			return nil
 		}
-	}
-	one, all := run(1), run(runtime.GOMAXPROCS(0))
-	if one == nil || all == nil {
-		t.FailNow()
-	}
-	for id, label := range SeriesLabels() {
-		a, err := one.seriesPtr(seriesID(id)).CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
+		one, all := run(1), run(runtime.GOMAXPROCS(0))
+		if one == nil || all == nil {
+			t.FailNow()
 		}
-		b, err := all.seriesPtr(seriesID(id)).CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: GOMAXPROCS(1) stats differ:\n %s\n %s", label, a, b)
+		for id, label := range SeriesLabels() {
+			a, err := one.seriesPtr(seriesID(id)).CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := all.seriesPtr(seriesID(id)).CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("%s %s: GOMAXPROCS(1) stats differ:\n %s\n %s", mode.name, label, a, b)
+			}
 		}
 	}
 }

@@ -74,7 +74,8 @@ type Config struct {
 // speculative fills through the provided callback.
 type InstrPrefetcher interface {
 	// OnFetch is called once per demand line fetch with whether it hit the
-	// L1-I; issue fills the given line speculatively at the current cycle.
+	// L1-I; issue fills the given line speculatively at the current cycle,
+	// and is valid only during the call.
 	OnFetch(line isa.Addr, now cache.Cycle, hit bool, issue func(line isa.Addr))
 }
 
@@ -199,6 +200,12 @@ type Frontend struct {
 
 	sink obs.Sink // nil when observation is off
 
+	// issue is the prefetcher's fill callback, bound once in New so the
+	// fetch loop allocates no closure; it fills at issueAt, the cycle of
+	// the fetch that is calling the prefetcher.
+	issue   func(isa.Addr)
+	issueAt cache.Cycle
+
 	// warm is the two-stage functional-warming pipeline, built by the
 	// first WarmFunctional call (warm.go).
 	warm *warmPipeline
@@ -227,6 +234,7 @@ func New(cfg Config, src trace.Source, mem *cache.Hierarchy, triggers map[isa.Ad
 		blockBuf: make([]isa.Instr, 0, ftq.MaxBlockInstrs),
 	}
 	f.bsrc, _ = trace.AsBlockSource(src)
+	f.issue = func(l isa.Addr) { f.mem.PrefetchInstr(l, f.issueAt) }
 	if cfg.Shadow.Enabled() {
 		if f.sd, err = bpu.NewShadowDecoder(cfg.Shadow); err != nil {
 			return nil, err
@@ -441,9 +449,8 @@ func (f *Frontend) fetchLine(line isa.Addr, now cache.Cycle) cache.Cycle {
 	}
 	if f.cfg.Prefetcher != nil {
 		hit := ready-now <= f.mem.L1I.Config().HitLatency
-		f.cfg.Prefetcher.OnFetch(line, now, hit, func(l isa.Addr) {
-			f.mem.PrefetchInstr(l, now)
-		})
+		f.issueAt = now
+		f.cfg.Prefetcher.OnFetch(line, now, hit, f.issue)
 	}
 	return ready
 }

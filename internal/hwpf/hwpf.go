@@ -87,6 +87,7 @@ type eipEntry struct {
 type EIP struct {
 	cfg     EIPConfig
 	table   []eipEntry
+	dsts    []isa.Addr // backs every entry's dsts
 	history []isa.Addr // ring of recent fetched lines
 	hpos    int
 	hlen    int
@@ -128,6 +129,17 @@ func (p *EIP) OnFetch(line isa.Addr, now cache.Cycle, hit bool, issue func(isa.A
 		src := p.history[(p.hpos-p.hlen+len(p.history))%len(p.history)]
 		if src != line {
 			e := p.slot(src)
+			if e.dsts == nil {
+				// Every entry's destination list is a full-capacity window
+				// of one array, made on the first training, so training
+				// appends without allocating and a prefetcher built only
+				// to fingerprint a cell holds no lists.
+				if p.dsts == nil {
+					p.dsts = make([]isa.Addr, p.cfg.TableEntries*p.cfg.MaxEntangled)
+				}
+				i := int(src.LineIndex()&uint64(p.cfg.TableEntries-1)) * p.cfg.MaxEntangled
+				e.dsts = p.dsts[i : i : i+p.cfg.MaxEntangled]
+			}
 			if !e.valid || e.src != src {
 				*e = eipEntry{src: src, valid: true, dsts: e.dsts[:0]}
 			}

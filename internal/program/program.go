@@ -601,27 +601,26 @@ func (e *Executor) Next() (isa.Instr, error) {
 // the stream Next yields. The executor's stream can only end at a return
 // branch, so the run never carries a dangling ErrEnd tail.
 func (e *Executor) NextBlock(buf []isa.Instr, max int) ([]isa.Instr, error) {
-	// Instructions are emitted straight into their final slots; reserving
-	// capacity up front keeps the hot loop free of append bookkeeping.
-	if cap(buf) < max {
-		nb := make([]isa.Instr, len(buf), max)
+	// The run grows buf by at most max. Instructions are emitted straight
+	// into their final slots; reserving capacity up front keeps the hot
+	// loop free of append bookkeeping.
+	end := len(buf) + max
+	if cap(buf) < end {
+		nb := make([]isa.Instr, len(buf), end)
 		copy(nb, buf)
 		buf = nb
 	}
-	for len(buf) < max {
-		if e.done {
-			if len(buf) == 0 {
-				return buf, trace.ErrEnd
-			}
-			return buf, nil
-		}
+	if e.done {
+		return buf, trace.ErrEnd
+	}
+	for {
 		b := e.blk
-		for e.idx < len(b.Body) && len(buf) < max {
+		for e.idx < len(b.Body) && len(buf) < end {
 			buf = buf[:len(buf)+1]
 			e.emitBodyInto(b, &buf[len(buf)-1])
 			e.idx++
 		}
-		if len(buf) == max {
+		if len(buf) == end {
 			return buf, nil // capped before the terminator
 		}
 		if b.Term.Kind == TermNone {
@@ -632,7 +631,6 @@ func (e *Executor) NextBlock(buf []isa.Instr, max int) ([]isa.Instr, error) {
 		e.emitTerminatorInto(b, &buf[len(buf)-1])
 		return buf, nil
 	}
-	return buf, nil
 }
 
 func (e *Executor) emitBody(b *Block) isa.Instr {
