@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -16,8 +17,12 @@ import (
 	"testing"
 
 	"frontsim/internal/asmdb"
+	"frontsim/internal/cfg"
 	"frontsim/internal/core"
+	"frontsim/internal/isa"
+	"frontsim/internal/program"
 	"frontsim/internal/runner"
+	"frontsim/internal/trace"
 	"frontsim/internal/workload"
 )
 
@@ -221,4 +226,107 @@ func TestCacheAddressGolden(t *testing.T) {
 	pass("ftq", exact, func() error { _, err := AblationFTQDepth(specs, []int{2, 4}, exact); return err })
 	pass("fanout", exact, func() error { _, err := AblationFanout(specs, []float64{0.30}, exact); return err })
 	checkPin(t, "cache_address_golden.json", got)
+}
+
+// streamWindows are the starts of the pinned stream windows, each
+// streamWindow instructions long: the entry path, and a window far enough
+// in to have left the dispatcher's first callees.
+var streamWindows = []int{0, 500_000}
+
+const (
+	streamWindow = 20_000
+	streamSeed   = 1
+)
+
+// streamAsmdbWorkloads get their AsmDB-rewritten stream pinned too: one
+// per category.
+var streamAsmdbWorkloads = []string{"secret_crypto52", "secret_int_44", "public_srv_60"}
+
+// TestStreamDigestGolden pins every workload's generated program across
+// commits, below the simulator: its static size, and the sha256 of two
+// windows of its executor stream at a fixed seed. For one workload per
+// category it pins the same windows of the AsmDB-rewritten program, planned
+// from a short profile. The stats digest only sees the streams through two
+// workloads' simulated stats; this sees every program, instruction by
+// instruction, so a change to how programs are represented, generated or
+// rewritten must keep each of them byte-identical.
+func TestStreamDigestGolden(t *testing.T) {
+	got := map[string]string{}
+	pin := func(name string, prog *program.Program) {
+		got[name+"/static"] = fmt.Sprintf("%d instrs, %d bytes", prog.NumInstrs(), prog.StaticBytes())
+		for i, d := range streamDigests(t, prog) {
+			got[fmt.Sprintf("%s/stream@%d", name, streamWindows[i])] = d
+		}
+	}
+	for _, name := range append(workload.Names(), workload.LongNames()...) {
+		spec, ok := workload.Lookup(name)
+		if !ok {
+			t.Fatalf("workload %s missing", name)
+		}
+		prog, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin(name, prog)
+	}
+	for _, name := range streamAsmdbWorkloads {
+		spec, _ := workload.Lookup(name)
+		prog, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		graph, err := cfg.Profile(trace.NewLimit(program.NewExecutor(prog, streamSeed), 200_000), cfg.Options{IPC: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := asmdb.Build(graph, asmdb.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw, applied, err := asmdb.Apply(prog, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if applied == 0 {
+			t.Fatalf("%s: the plan inserted no prefetch", name)
+		}
+		pin(name+"/asmdb", rw)
+	}
+	checkPin(t, "stream_digest_golden.json", got)
+}
+
+// streamDigests hashes each of streamWindows' windows of prog's executor
+// stream, every instruction as its five fields in little-endian order.
+func streamDigests(t *testing.T, prog *program.Program) []string {
+	t.Helper()
+	src := program.NewExecutor(prog, streamSeed)
+	var buf []isa.Instr
+	var rec [26]byte
+	pos := 0
+	out := make([]string, 0, len(streamWindows))
+	for _, start := range streamWindows {
+		h := sha256.New()
+		for pos < start+streamWindow {
+			var err error
+			if buf, err = src.NextBlock(buf[:0], 4096); err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range buf {
+				if pos >= start && pos < start+streamWindow {
+					binary.LittleEndian.PutUint64(rec[0:], uint64(in.PC))
+					rec[8] = byte(in.Class)
+					rec[9] = 0
+					if in.Taken {
+						rec[9] = 1
+					}
+					binary.LittleEndian.PutUint64(rec[10:], uint64(in.Target))
+					binary.LittleEndian.PutUint64(rec[18:], uint64(in.DataAddr))
+					h.Write(rec[:])
+				}
+				pos++
+			}
+		}
+		out = append(out, hex.EncodeToString(h.Sum(nil)))
+	}
+	return out
 }
