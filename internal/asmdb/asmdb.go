@@ -254,51 +254,35 @@ func findSites(g *cfg.Graph, target *cfg.Node, minDist int, opts Options) []Inse
 	return out
 }
 
-// Apply rewrites a clone of prog with the plan's prefetch instructions
-// appended to each site block's body, re-laying-out the address space (the
-// paper's static code bloat and cache-line-content shift). It returns the
-// rewritten program and the number of insertions applied; insertions whose
-// site or target no longer resolves are skipped.
+// Apply rewrites prog with the plan's prefetch instructions appended to
+// each site block's body, re-laying-out the address space (the paper's
+// static code bloat and cache-line-content shift). It returns the
+// rewritten program, built in one pass, and the number of insertions
+// applied; insertions whose site or target does not resolve are skipped.
+// prog does not change.
 func Apply(prog *program.Program, plan *Plan) (*program.Program, int, error) {
-	clone := prog.Clone()
-	// Resolve every address against the ORIGINAL layout before any
-	// insertion shifts it.
-	type resolved struct {
-		site      program.BlockRef
-		target    program.BlockRef
-		targetOff int
-	}
-	rs := make([]resolved, 0, len(plan.Insertions))
+	// Every address resolves against the original layout. A site's
+	// prefetches go at the end of its body, just before the terminator
+	// (the paper inserts "at the end of basic blocks that lead to the
+	// high-impact instructions"), in plan order.
+	pfs := make([]program.Prefetch, 0, len(plan.Insertions))
 	for _, ins := range plan.Insertions {
-		siteRef, _, ok := clone.Locate(ins.Site)
+		site, _, ok := prog.Locate(ins.Site)
 		if !ok {
 			continue
 		}
-		targetRef, off, ok := clone.Locate(ins.Target)
+		target, off, ok := prog.Locate(ins.Target)
 		if !ok {
 			continue
 		}
-		rs = append(rs, resolved{site: siteRef, target: targetRef, targetOff: off})
+		b, _ := prog.Block(site)
+		pfs = append(pfs, program.Prefetch{Site: site, Pos: b.Body, Target: target, Offset: off})
 	}
-	applied := 0
-	for _, r := range rs {
-		blk := clone.Block(r.site)
-		if blk == nil {
-			continue
-		}
-		// Append at the end of the block body, just before the terminator
-		// (the paper inserts "at the end of basic blocks that lead to the
-		// high-impact instructions"). Layout is deferred to a single pass.
-		if err := clone.InsertPrefetchDeferred(r.site, len(blk.Body), r.target, r.targetOff); err != nil {
-			return nil, applied, fmt.Errorf("asmdb: applying insertion: %w", err)
-		}
-		applied++
+	rw, err := prog.InsertPrefetches(pfs)
+	if err != nil {
+		return nil, 0, fmt.Errorf("asmdb: applying insertions: %w", err)
 	}
-	clone.Layout()
-	if err := clone.Validate(); err != nil {
-		return nil, applied, fmt.Errorf("asmdb: rewritten program invalid: %w", err)
-	}
-	return clone, applied, nil
+	return rw, len(pfs), nil
 }
 
 // Triggers builds the no-insertion-overhead trigger table: when any

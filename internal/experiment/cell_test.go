@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -203,4 +204,32 @@ func TestCancelledCellNeverCached(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSeriesCellResolveAllocs bounds what resolving one cell allocates.
+// A warm served request resolves a cell and simulates nothing, so a
+// machine whose constructor builds its learned tables would pay for them
+// on every request: the EIP and MANA prefetchers make their tables on the
+// first fetch instead.
+func TestSeriesCellResolveAllocs(t *testing.T) {
+	const limit = 16 << 10
+	spec, ok := workload.Lookup("public_srv_60")
+	if !ok {
+		t.Fatal("workload missing")
+	}
+	p := DefaultParams()
+	for _, label := range SeriesLabels() {
+		const n = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if _, err := SeriesCell(spec, label, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / n; per > limit {
+			t.Errorf("%s: resolving the cell allocates %d bytes, limit %d", label, per, limit)
+		}
+	}
 }

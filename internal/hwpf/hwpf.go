@@ -101,11 +101,7 @@ func NewEIP(cfg EIPConfig) (*EIP, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &EIP{
-		cfg:     cfg,
-		table:   make([]eipEntry, cfg.TableEntries),
-		history: make([]isa.Addr, cfg.HistoryDepth),
-	}, nil
+	return &EIP{cfg: cfg, history: make([]isa.Addr, cfg.HistoryDepth)}, nil
 }
 
 func (p *EIP) slot(line isa.Addr) *eipEntry {
@@ -114,6 +110,11 @@ func (p *EIP) slot(line isa.Addr) *eipEntry {
 
 // OnFetch implements frontend.InstrPrefetcher.
 func (p *EIP) OnFetch(line isa.Addr, now cache.Cycle, hit bool, issue func(isa.Addr)) {
+	if p.table == nil {
+		// Made on the first fetch, like the entangled lists below, so a
+		// prefetcher built only to fingerprint a cell holds no table.
+		p.table = make([]eipEntry, p.cfg.TableEntries)
+	}
 	line = line.Line()
 	// Replay: if this line is a known source, prefetch its entangled
 	// destinations.

@@ -73,7 +73,7 @@ func NewMANA(cfg MANAConfig) (*MANA, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &MANA{cfg: cfg, table: make([]manaRecord, cfg.RecordEntries)}, nil
+	return &MANA{cfg: cfg}, nil
 }
 
 // region decomposes a line address into its region base and line offset.
@@ -90,6 +90,11 @@ func (p *MANA) slot(base isa.Addr) *manaRecord {
 
 // OnFetch implements frontend.InstrPrefetcher.
 func (p *MANA) OnFetch(line isa.Addr, now cache.Cycle, hit bool, issue func(isa.Addr)) {
+	if p.table == nil {
+		// Made on the first fetch, so a prefetcher built only to
+		// fingerprint a cell holds no table.
+		p.table = make([]manaRecord, p.cfg.RecordEntries)
+	}
 	line = line.Line()
 	base, off := p.region(line)
 	// Replay: walk the region's bit-vector starting one line past the
