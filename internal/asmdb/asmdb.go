@@ -11,7 +11,9 @@
 package asmdb
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"frontsim/internal/cfg"
@@ -138,6 +140,7 @@ func Build(g *cfg.Graph, opts Options) (*Plan, error) {
 	plan := &Plan{MinDistance: minDist, TotalMisses: g.TotalMisses}
 	ranked := g.RankedByMisses()
 	seen := make(map[[2]isa.Addr]bool) // (site, target-line) dedup
+	w := walker{done: make(map[isa.Addr]walkState)}
 
 	var covered int64
 	for ti, target := range ranked {
@@ -147,7 +150,7 @@ func Build(g *cfg.Graph, opts Options) (*Plan, error) {
 		if g.TotalMisses > 0 && float64(covered)/float64(g.TotalMisses) >= opts.CoverageGoal {
 			break
 		}
-		sites := findSites(g, target, minDist, opts)
+		sites := w.findSites(g, target, minDist, opts)
 		placed := 0
 		for _, s := range sites {
 			key := [2]isa.Addr{s.Site, s.Target.Line()}
@@ -177,11 +180,21 @@ func Build(g *cfg.Graph, opts Options) (*Plan, error) {
 	return plan, nil
 }
 
+// walker is the backward walk's state. One Build walks from every ranked
+// target with the same walker, cleared between targets, so the heap, the
+// visited map and the candidate slice are allocated once per plan.
+type walker struct {
+	heap walkHeap
+	done map[isa.Addr]walkState
+	out  []Insertion
+}
+
 // findSites walks the CFG backward from the target accumulating path
 // probability and instruction distance, returning candidate insertion
 // sites in the [minDist, Window] band with fanout above threshold, best
-// first (highest probability, then shortest distance).
-func findSites(g *cfg.Graph, target *cfg.Node, minDist int, opts Options) []Insertion {
+// first (highest probability, then shortest distance). The result is
+// valid until the next call.
+func (w *walker) findSites(g *cfg.Graph, target *cfg.Node, minDist int, opts Options) []Insertion {
 	// Dijkstra-style maximum-probability walk backward from the target:
 	// states pop in (prob desc, dist asc, pc asc) order, so the first pop
 	// of a block carries its maximum reach probability (edge probabilities
@@ -189,9 +202,10 @@ func findSites(g *cfg.Graph, target *cfg.Node, minDist int, opts Options) []Inse
 	// The strict pop order makes the result independent of map iteration
 	// order, which keeps plans — and therefore every rewritten binary —
 	// bit-for-bit reproducible.
-	h := &walkHeap{}
+	h, done := &w.heap, w.done
+	h.items = h.items[:0]
+	clear(done)
 	h.push(walkState{pc: target.PC, prob: 1, dist: 0})
-	done := make(map[isa.Addr]walkState)
 
 	for h.len() > 0 {
 		cur := h.pop()
@@ -222,7 +236,7 @@ func findSites(g *cfg.Graph, target *cfg.Node, minDist int, opts Options) []Inse
 			h.push(walkState{pc: predPC, prob: p, dist: d})
 		}
 	}
-	out := make([]Insertion, 0, len(done))
+	out := w.out[:0]
 	for pc, r := range done { //lint:allow out is fully sorted below (distance, prob, site); iteration order cannot escape
 		if pc == target.PC || r.dist < minDist {
 			continue
@@ -239,18 +253,18 @@ func findSites(g *cfg.Graph, target *cfg.Node, minDist int, opts Options) []Inse
 	// prefetch has the whole fetch latency to complete before the demand
 	// arrives (timeliness dominates accuracy once fanout passes the
 	// threshold). Ties break toward higher probability, then PC.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Distance != out[j].Distance {
-			return out[i].Distance > out[j].Distance
+	slices.SortFunc(out, func(a, b Insertion) int {
+		switch {
+		case a.Distance != b.Distance:
+			return cmp.Compare(b.Distance, a.Distance)
+		case a.Prob > b.Prob:
+			return -1
+		case a.Prob < b.Prob:
+			return 1
 		}
-		if out[i].Prob > out[j].Prob {
-			return true
-		}
-		if out[i].Prob < out[j].Prob {
-			return false
-		}
-		return out[i].Site < out[j].Site
+		return cmp.Compare(a.Site, b.Site)
 	})
+	w.out = out
 	return out
 }
 

@@ -393,3 +393,21 @@ func TestReadPlanRejectsGarbage(t *testing.T) {
 		t.Fatal("accepted bad address")
 	}
 }
+
+// TestBuildAllocsPerPlan bounds Build's allocations on a server workload:
+// the backward walk reuses one state across every ranked target, so a plan
+// allocates for its own growth (the ranking, the dedup set, the insertion
+// list), not once or more per target it walks from.
+func TestBuildAllocsPerPlan(t *testing.T) {
+	_, g, plan := buildWorkloadPlan(t, "secret_srv12")
+	ranked := len(g.RankedByMisses())
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Build(g, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d targets ranked, %d insertions: %.0f allocations per Build", ranked, len(plan.Insertions), allocs)
+	if limit := float64(ranked) / 8; allocs > limit {
+		t.Fatalf("Build made %.0f allocations for %d ranked targets, want at most %.0f", allocs, ranked, limit)
+	}
+}

@@ -287,7 +287,7 @@ func (l *refLevel) Flush() {
 	}
 }
 
-func (l *refLevel) Warm(lineAddr isa.Addr) {
+func (l *refLevel) Warm(lineAddr isa.Addr) bool {
 	lineAddr = lineAddr.Line()
 	set := l.setIndex(lineAddr)
 	key := l.tagOf(lineAddr) + 1
@@ -310,7 +310,7 @@ func (l *refLevel) Warm(lineAddr isa.Addr) {
 		w := &l.lines[base+wi]
 		w.prefetch = false
 		l.touch(base + wi)
-		return
+		return true
 	}
 
 	// Only cache levels below are warmed; the recursion stops at DRAM (or
@@ -323,6 +323,7 @@ func (l *refLevel) Warm(lineAddr isa.Addr) {
 	keys[vi] = key
 	l.mru[set] = int32(vi)
 	l.fill(base + vi)
+	return false
 }
 
 // backendCall is one request a level sent below it.
@@ -355,7 +356,7 @@ func (e *eventLog) Close() error        { return nil }
 type levelPair struct {
 	up, low interface {
 		Access(isa.Addr, Cycle, AccessKind) Cycle
-		Warm(isa.Addr)
+		Warm(isa.Addr) bool
 		Probe(isa.Addr) bool
 		Ready(isa.Addr) (Cycle, bool)
 		Flush()
@@ -441,8 +442,7 @@ func FuzzLevelMatchesReference(f *testing.F) {
 			case 4, 5, 6:
 				gv, wv = g.Access(addr, now, Prefetch), w.Access(addr, now, Prefetch)
 			case 7, 8, 9:
-				g.Warm(addr)
-				w.Warm(addr)
+				gv, wv = g.Warm(addr), w.Warm(addr)
 			case 10, 11:
 				gv, wv = g.Probe(addr), w.Probe(addr)
 			case 12, 13:

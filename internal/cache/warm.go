@@ -21,13 +21,16 @@ import "frontsim/internal/isa"
 //   - DRAM is never told: channel busy state (nextFree) is timing, and a
 //     phase that consumes no cycles must not occupy future bus slots;
 //   - no counter moves, so measured-window statistics see none of it.
-func (l *Level) Warm(lineAddr isa.Addr) {
+//
+// It reports whether the line was present, as Probe would have before the
+// call.
+func (l *Level) Warm(lineAddr isa.Addr) bool {
 	lineAddr = lineAddr.Line()
 	rec, key := l.record(lineAddr)
 	if wi := l.find(rec, key); wi >= 0 {
 		rec[recMarks] &^= 1 << wi
 		l.touch(rec, wi)
-		return
+		return true
 	}
 
 	// Only cache levels below are warmed; the recursion stops at DRAM (or
@@ -36,6 +39,7 @@ func (l *Level) Warm(lineAddr isa.Addr) {
 		nl.Warm(lineAddr)
 	}
 	l.install(rec, key, 0, false, nil)
+	return false
 }
 
 // Warm installs pc's translation with no statistics side effects: a
@@ -57,12 +61,14 @@ func (t *ITLB) Resident(pc isa.Addr) bool {
 
 // WarmInstr warms the instruction path for pc: the L1-I line (recursing
 // into L2/LLC) and, when modelled, the I-TLB translation. The functional
-// counterpart of FetchInstr.
-func (h *Hierarchy) WarmInstr(pc isa.Addr) {
-	h.L1I.Warm(pc.Line())
+// counterpart of FetchInstr. It reports whether the line was already in
+// the L1-I.
+func (h *Hierarchy) WarmInstr(pc isa.Addr) bool {
+	hit := h.L1I.Warm(pc.Line())
 	if h.ITLB != nil {
 		h.ITLB.Warm(pc)
 	}
+	return hit
 }
 
 // WarmPrefetchInstr warms an instruction line a prefetch would have

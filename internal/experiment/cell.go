@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
@@ -32,8 +33,10 @@ type Cell struct {
 	series string // labels the cell for obs and progress
 	cfg    core.Config
 	key    simKey
-	addr   string
-	p      Params
+	// entry is key marshaled and hashed once: the cell's content address
+	// and the form every lookup reads the run cache with.
+	entry runner.Key
+	p     Params
 	// plan identifies the plan a plan-derived variant runs (nil for the
 	// base program); rewritten is that plan's program once applied.
 	plan      *planKey
@@ -75,7 +78,7 @@ func newCell(spec workload.Spec, series string, machine core.Config, prog string
 		c.key.AsmDB, c.key.ProfileInstrs, c.key.ProfileConfig = &k.AsmDB, k.ProfileInstrs, k.ProfileConfig
 	}
 	var err error
-	c.addr, err = runner.Fingerprint(c.key)
+	c.entry, err = runner.NewKey(c.key)
 	return c, err
 }
 
@@ -131,13 +134,20 @@ func SeriesLabels() []string {
 
 // Address returns the cell's run-cache content address: the coalescing
 // and cache-lookup key of the serving layer.
-func (c *Cell) Address() string { return c.addr }
+func (c *Cell) Address() string { return c.entry.Address() }
 
 // Probe looks the cell up in the run cache without executing anything.
 func (c *Cell) Probe() (core.Stats, bool, error) {
 	var st core.Stats
-	ok, err := c.p.Cache.Get(c.key, &st)
-	return st, ok, err
+	ok := c.Lookup(func(b []byte) error { return json.Unmarshal(b, &st) })
+	return st, ok, nil
+}
+
+// Lookup is Probe on the run cache's raw read path (runner.Cache.Lookup):
+// on a hit it hands decode the stored stats bytes, which are the stats'
+// CanonicalJSON, and the cell is warm only if decode accepts them.
+func (c *Cell) Lookup(decode func(stats []byte) error) bool {
+	return c.p.Cache.Lookup(c.entry, decode)
 }
 
 // record reports a produced cell, cached or live, to the suite collector
@@ -384,7 +394,7 @@ func runWaves(ctx context.Context, pool *runner.Pool, in *inputs, cells []*Cell,
 // cancelled is cached.
 func (c *Cell) Run(ctx context.Context, pool *runner.Pool) (CellResult, error) {
 	cell, in := *c, &inputs{spec: c.spec}
-	res := CellResult{Fingerprint: c.addr}
+	res := CellResult{Fingerprint: c.Address()}
 	cell.out = &res.Stats
 	if _, err := runWaves(ctx, pool, in, []*Cell{&cell}, nil, c.p.plan(ctx, pool, in, nil)); err != nil {
 		return CellResult{}, err
@@ -414,5 +424,5 @@ func ProbeCell(spec workload.Spec, series string, p Params) (core.Stats, string,
 		return core.Stats{}, "", false, err
 	}
 	st, ok, err := c.Probe()
-	return st, c.addr, ok, err
+	return st, c.Address(), ok, err
 }

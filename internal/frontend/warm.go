@@ -189,8 +189,7 @@ func (p *warmPipeline) apply(ops []uint64, now cache.Cycle) {
 		addr := isa.Addr(op &^ opKindMask)
 		switch op & opKindMask {
 		case opFetch:
-			hit := mem.L1I.Probe(addr)
-			mem.WarmInstr(addr)
+			hit := mem.WarmInstr(addr)
 			if pf != nil {
 				pf.OnFetch(addr, now, hit, p.issue)
 			}

@@ -1,11 +1,13 @@
 package runner
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -180,30 +182,149 @@ func TestCacheDistinctKeysDistinctEntries(t *testing.T) {
 	}
 }
 
+// storedEntry puts value under key in a fresh cache and returns the cache,
+// the key's resolved form and the entry's bytes as Put wrote them.
+func storedEntry(t testing.TB, key, value any) (*Cache, Key, []byte) {
+	t.Helper()
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := NewKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(key, value); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(c.path(k.Address()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, k, raw
+}
+
+// TestCacheCorruptEntryIsMiss puts entries that are not byte-exact to
+// Put's format, or whose value the caller cannot decode, at a key's path:
+// each is a miss on Get and on Lookup, and each lookup moves the miss
+// counter. The entry Put wrote, restored, is a hit again.
 func TestCacheCorruptEntryIsMiss(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	key := testKey{Kind: "corrupt", N: 1}
-	if err := c.Put(key, testValue{Score: 3}); err != nil {
+	c, k, entry := storedEntry(t, key, testValue{Words: []string{"a"}, Score: 3})
+	_, _, other := storedEntry(t, testKey{Kind: "corrupt", N: 2}, testValue{Score: 3})
+	value := entry[len(`{"key":`)+len(k.json)+len(`,"value":`) : len(entry)-1]
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, entry, "", "  "); err != nil {
 		t.Fatal(err)
 	}
-	// Truncate every stored entry.
-	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
+	record := func(v string) []byte {
+		return []byte(`{"key":` + string(k.json) + `,"value":` + v + `}`)
+	}
+	if !bytes.Equal(record(string(value)), entry) {
+		t.Fatalf("Put wrote %s, not the envelope format", entry)
+	}
+	cases := []struct {
+		name  string
+		bytes []byte
+		// decodable: the value is well-formed JSON, so only a decoder
+		// that wants a testValue turns the lookup into a miss.
+		decodable bool
+	}{
+		{"garbage", []byte("{not json"), false},
+		{"another key's entry", other, false},
+		{"torn file", entry[:len(entry)/2], false},
+		{"truncated value", record(string(value[:len(value)-2])), false},
+		{"trailing newline", append(slices.Clone(entry), '\n'), false},
+		{"bytes after the closing brace", append(slices.Clone(entry), "{}"...), false},
+		{"reformatted envelope", indented.Bytes(), false},
+		{"space inside the value", record(strings.Replace(string(value), ":", ": ", 1)), false},
+		{"unescaped HTML in the value", record(`{"words":["<a>"],"score":3}`), false},
+		{"value the caller cannot decode", record(`"three"`), true},
+	}
+	path := c.path(k.Address())
+	for _, tc := range cases {
+		if err := os.WriteFile(path, tc.bytes, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		return os.WriteFile(path, []byte("{not json"), 0o644)
-	})
-	if err != nil {
+		before := c.Metrics()
+		var v testValue
+		if ok, err := c.Get(key, &v); err != nil || ok {
+			t.Errorf("%s: Get = %v, %v; want a miss", tc.name, ok, err)
+		}
+		if c.Lookup(k, func(b []byte) error { return json.Unmarshal(b, &v) }) {
+			t.Errorf("%s: Lookup decoding a testValue hit", tc.name)
+		}
+		var raw json.RawMessage
+		if hit := c.Lookup(k, func(b []byte) error { return json.Unmarshal(b, &raw) }); hit != tc.decodable {
+			t.Errorf("%s: Lookup decoding any JSON value hit = %v, want %v", tc.name, hit, tc.decodable)
+		}
+		want := before
+		want.Misses += 2
+		if tc.decodable {
+			want.Hits++
+		} else {
+			want.Misses++
+		}
+		if got := c.Metrics(); got != want {
+			t.Errorf("%s: counters %+v, want %+v", tc.name, got, want)
+		}
+	}
+	if err := os.WriteFile(path, entry, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var v testValue
-	if ok, err := c.Get(key, &v); err != nil || ok {
-		t.Fatalf("corrupt entry: ok=%v err=%v", ok, err)
+	if ok, err := c.Get(key, &v); err != nil || !ok || v.Score != 3 {
+		t.Fatalf("restored entry: ok=%v err=%v value %+v", ok, err, v)
 	}
+}
+
+// FuzzCacheLookup writes mutated bytes of a valid entry at its key's path.
+// A lookup is a hit only on an entry Put could have written: the value it
+// returns, stored again, writes exactly the bytes that were read, and the
+// unmutated entry returns exactly the value Put stored. Every lookup moves
+// exactly one counter.
+func FuzzCacheLookup(f *testing.F) {
+	key := testKey{Kind: "fuzz", N: 1}
+	c, k, entry := storedEntry(f, key, testValue{Words: []string{"a<b", "\u2028", "q\"t", "x y"}, Score: 1.5})
+	value := slices.Clone(entry[len(`{"key":`)+len(k.json)+len(`,"value":`) : len(entry)-1])
+	again, err := OpenCache(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(entry)
+	f.Add(append(slices.Clone(entry), ' '))
+	f.Add(entry[:len(entry)-1])
+	f.Add(bytes.Replace(entry, []byte(`"score":`), []byte(`"score": `), 1))
+	f.Add(bytes.Replace(entry, []byte(`1.5`), []byte(`2.5`), 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := c.path(k.Address())
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := c.Metrics()
+		var got json.RawMessage
+		hit := c.Lookup(k, func(b []byte) error { return json.Unmarshal(b, &got) })
+		after := c.Metrics()
+		if moved := (after.Hits - before.Hits) + (after.Misses - before.Misses); moved != 1 || (after.Hits > before.Hits) != hit {
+			t.Fatalf("hit=%v moved the counters from %+v to %+v", hit, before, after)
+		}
+		if bytes.Equal(data, entry) && (!hit || !bytes.Equal(got, value)) {
+			t.Fatalf("unmutated entry: hit=%v value %s, want %s", hit, got, value)
+		}
+		if !hit {
+			return
+		}
+		if err := again.Put(key, got); err != nil {
+			t.Fatal(err)
+		}
+		stored, err := os.ReadFile(again.path(k.Address()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stored, data) {
+			t.Fatalf("hit on an entry Put does not write:\nread:   %q\nstores: %q", data, stored)
+		}
+	})
 }
 
 func TestCacheNilIsInert(t *testing.T) {

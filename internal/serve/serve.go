@@ -99,7 +99,7 @@ type Server struct {
 	// stub them to make admission and coalescing deterministic.
 	// Production: run/probe a real cell.
 	runCell func(ctx context.Context, pc *preparedCell) (experiment.CellResult, error)
-	probe   func(pc *preparedCell) (core.Stats, bool, error)
+	probe   func(pc *preparedCell) (cellStats, bool, error)
 }
 
 // flight is one in-progress cell execution with its subscriber set.
@@ -432,9 +432,16 @@ func (s *Server) executeCell(ctx context.Context, pc *preparedCell) (experiment.
 	return pc.cell.Run(ctx, s.pool)
 }
 
-// probeCell is the cache fast path: no admission, no flight.
-func (s *Server) probeCell(pc *preparedCell) (core.Stats, bool, error) {
-	return pc.cell.Probe()
+// probeCell is the cache fast path: no admission, no flight. It reads the
+// stored stats bytes once, decoding only their headline; an entry whose
+// headline does not decode is a miss, and the cell is recomputed.
+func (s *Server) probeCell(pc *preparedCell) (cellStats, bool, error) {
+	var cs cellStats
+	ok := pc.cell.Lookup(func(b []byte) (err error) {
+		cs, err = decodeStats(b)
+		return err
+	})
+	return cs, ok, nil
 }
 
 // --- core cell flow ------------------------------------------------------
@@ -460,13 +467,13 @@ func (s *Server) cell(ctx context.Context, pc *preparedCell) (CellResponse, erro
 	resp := CellResponse{Workload: pc.spec.Name, Series: pc.series, Config: pc.config, Fingerprint: pc.addr}
 
 	// Cache fast path: warm cells are answered without touching admission.
-	if st, ok, err := s.probe(pc); err != nil {
+	if cs, ok, err := s.probe(pc); err != nil {
 		s.failed.Add(1)
 		return resp, err
 	} else if ok {
 		s.cacheHits.Add(1)
 		resp.Cached = true
-		return finishCell(resp, st)
+		return finishCell(resp, cs), nil
 	}
 
 	res, coalesced, err := s.joinFlight(ctx, pc)
@@ -480,19 +487,44 @@ func (s *Server) cell(ctx context.Context, pc *preparedCell) (CellResponse, erro
 	}
 	resp.Cached = res.Cached
 	resp.Coalesced = coalesced
-	return finishCell(resp, res.Stats)
-}
-
-// finishCell embeds the stats' canonical bytes and headline metrics.
-func finishCell(resp CellResponse, st core.Stats) (CellResponse, error) {
-	if resp.Config == "" {
-		resp.Config = st.Config
-	}
-	b, err := st.CanonicalJSON()
+	b, err := res.Stats.CanonicalJSON()
 	if err != nil {
 		return resp, err
 	}
-	resp.Stats = b
+	cs, err := decodeStats(b)
+	if err != nil {
+		return resp, err
+	}
+	return finishCell(resp, cs), nil
+}
+
+// cellStats is a cell's stats as a response reports them: the
+// CanonicalJSON bytes, embedded verbatim, and the headline fields decoded
+// from those bytes (json.Unmarshal skips the rest).
+type cellStats struct {
+	raw          []byte
+	Config       string
+	Cycles       int64
+	Instructions int64
+	L1I          struct{ Misses int64 }
+	Sampling     *core.SamplingStats
+}
+
+// decodeStats decodes the headline of canonical stats bytes b.
+func decodeStats(b []byte) (cellStats, error) {
+	cs := cellStats{raw: b}
+	err := json.Unmarshal(b, &cs)
+	return cs, err
+}
+
+// finishCell embeds the stats' canonical bytes and headline metrics.
+func finishCell(resp CellResponse, cs cellStats) CellResponse {
+	if resp.Config == "" {
+		resp.Config = cs.Config
+	}
+	st := core.Stats{Cycles: cs.Cycles, Instructions: cs.Instructions, Sampling: cs.Sampling}
+	st.L1I.Misses = cs.L1I.Misses
+	resp.Stats = cs.raw
 	resp.IPC = st.IPC()
 	resp.L1IMPKI = st.L1IMPKI()
 	if sp := st.Sampling; sp != nil {
@@ -504,7 +536,7 @@ func finishCell(resp CellResponse, st core.Stats) (CellResponse, error) {
 		}
 		resp.SamplingWindows = sp.Windows
 	}
-	return resp, nil
+	return resp
 }
 
 // joinFlight subscribes ctx to the cell's flight, creating it (and

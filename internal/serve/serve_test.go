@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,7 +31,7 @@ func testServer(t *testing.T, opts Options) *Server {
 	t.Helper()
 	s := New(opts)
 	t.Cleanup(s.Close)
-	s.probe = func(*preparedCell) (core.Stats, bool, error) { return core.Stats{}, false, nil }
+	s.probe = func(*preparedCell) (cellStats, bool, error) { return cellStats{}, false, nil }
 	s.runCell = func(context.Context, *preparedCell) (experiment.CellResult, error) {
 		t.Error("runCell called without a test stub")
 		return experiment.CellResult{}, errors.New("no stub")
@@ -440,7 +443,14 @@ func TestDrainClean(t *testing.T) {
 func TestCacheHitBypassesAdmission(t *testing.T) {
 	s := testServer(t, Options{MaxConcurrent: 1, MaxQueue: 1})
 	warm := core.Stats{Config: "warm", Instructions: 99}
-	s.probe = func(*preparedCell) (core.Stats, bool, error) { return warm, true, nil }
+	want, err := warm.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.probe = func(*preparedCell) (cellStats, bool, error) {
+		cs, err := decodeStats(want)
+		return cs, true, err
+	}
 	s.slots <- struct{}{} // all slots taken
 
 	resp, err := s.cell(context.Background(), &preparedCell{addr: "cell-C", series: "fdp24"})
@@ -449,10 +459,6 @@ func TestCacheHitBypassesAdmission(t *testing.T) {
 	}
 	if !resp.Cached {
 		t.Fatal("warm cell not marked cached")
-	}
-	want, err := warm.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !bytes.Equal(resp.Stats, want) {
 		t.Fatalf("cached stats bytes differ:\ngot:  %s\nwant: %s", resp.Stats, want)
@@ -657,6 +663,163 @@ func TestServedCellMatchesExperiment(t *testing.T) {
 	if len(wl.Workloads) == 0 || len(wl.Series) != len(experiment.SeriesLabels()) {
 		t.Fatalf("workloads endpoint: %d workloads, %d series", len(wl.Workloads), len(wl.Series))
 	}
+
+	checkEverySeries(t, s, ts.URL, req)
+}
+
+// checkEverySeries requests every series of base's workload, with base's
+// budgets and sampling, twice: the first answer (cold unless the series
+// is base's own, which the caller warmed) and the warm second one must
+// each be byte-identical to the body built the old way (legacyBody).
+func checkEverySeries(t *testing.T, s *Server, url string, base CellRequest) {
+	t.Helper()
+	for _, series := range experiment.SeriesLabels() {
+		req := base
+		req.Series = series
+		for i, wantCached := range []bool{series == base.Series, true} {
+			status, _, body := postCell(t, url, req)
+			if status != http.StatusOK {
+				t.Fatalf("%s request %d got %d: %s", series, i, status, body)
+			}
+			var resp CellResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Cached != wantCached {
+				t.Fatalf("%s request %d: cached %v, want %v", series, i, resp.Cached, wantCached)
+			}
+			if want := legacyBody(t, s, req, resp.Cached); !bytes.Equal(body, want) {
+				t.Fatalf("%s request %d: body differs from the full-decode body:\ngot:  %s\nwant: %s", series, i, body, want)
+			}
+		}
+	}
+}
+
+// legacyBody is the body of a cell answer built the way it was before
+// responses embedded the stored stats bytes: the run-cache entry read
+// with a full decode of its envelope and of its Stats, then
+// CanonicalJSON and the headline metrics of the decoded Stats.
+func legacyBody(t *testing.T, s *Server, req CellRequest, cached bool) []byte {
+	t.Helper()
+	pc, err := s.prepare(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(s.opts.Cache.Dir(), pc.addr[:2], pc.addr+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env struct {
+		Value json.RawMessage `json:"value"`
+	}
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	var st core.Stats
+	if err := json.Unmarshal(env.Value, &st); err != nil {
+		t.Fatal(err)
+	}
+	b, err := st.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := CellResponse{Workload: pc.spec.Name, Series: pc.series, Config: pc.config, Fingerprint: pc.addr,
+		Cached: cached, IPC: st.IPC(), L1IMPKI: st.L1IMPKI(), Stats: b}
+	if resp.Config == "" {
+		resp.Config = st.Config
+	}
+	if sp := st.Sampling; sp != nil {
+		if hw := sp.IPCCI95(); !math.IsInf(hw, 1) {
+			resp.IPCCI95 = hw
+		}
+		resp.SamplingWindows = sp.Windows
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestServedCorruptEntryIsRecomputed puts entries that are not byte-exact
+// to the run cache's format, or whose stats do not decode, at a warm
+// cell's path: each request is a miss that the cache counts, the cell is
+// simulated again, and the answer is the cold run's, byte for byte.
+func TestServedCorruptEntryIsRecomputed(t *testing.T) {
+	p := experiment.DefaultParams()
+	p.WarmupInstrs = 20_000
+	p.MeasureInstrs = 60_000
+	p.ProfileInstrs = 80_000
+	cache, err := runner.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Params: p, Cache: cache, Workers: 2, MaxConcurrent: 2, MaxQueue: 4})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := workload.All()[0]
+	req := CellRequest{Workload: spec.Name, Series: "fdp24"}
+	status, _, cold := postCell(t, ts.URL, req)
+	if status != http.StatusOK {
+		t.Fatalf("cold cell got %d: %s", status, cold)
+	}
+	entryPath := func(r CellRequest) string {
+		pc, err := s.prepare(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return filepath.Join(cache.Dir(), pc.addr[:2], pc.addr+".json")
+	}
+	consReq := CellRequest{Workload: spec.Name, Series: "cons"}
+	if status, _, body := postCell(t, ts.URL, consReq); status != http.StatusOK {
+		t.Fatalf("cons cell got %d: %s", status, body)
+	}
+	other, err := os.ReadFile(entryPath(consReq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := entryPath(req)
+	entry, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := bytes.Index(entry, []byte(`,"value":`)) + len(`,"value":`)
+	prefix, value := entry[:split], entry[split:len(entry)-1]
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, entry, "", " "); err != nil {
+		t.Fatal(err)
+	}
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	cases := []struct {
+		name  string
+		bytes []byte
+	}{
+		{"another key's entry", other},
+		{"truncated value", join(prefix, value[:len(value)/2], []byte("}"))},
+		{"bytes after the closing brace", join(entry, []byte("\n"))},
+		{"reformatted envelope", indented.Bytes()},
+		{"stats that do not decode", join(prefix, []byte(`{"Cycles":"many"}}`))},
+	}
+	for _, tc := range cases {
+		if err := os.WriteFile(path, tc.bytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before, runs := cache.Metrics(), s.executions.Load()
+		status, _, body := postCell(t, ts.URL, req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: got %d: %s", tc.name, status, body)
+		}
+		if !bytes.Equal(body, cold) {
+			t.Fatalf("%s: answer differs from the cold run's:\ngot:  %s\nwant: %s", tc.name, body, cold)
+		}
+		// One miss on the fast path, one when the flight probes again.
+		want := runner.Metrics{Hits: before.Hits, Misses: before.Misses + 2, Puts: before.Puts + 1}
+		if got := cache.Metrics(); got != want || s.executions.Load() != runs+1 {
+			t.Fatalf("%s: cache %+v and %d executions, want %+v and %d", tc.name, got, s.executions.Load(), want, runs+1)
+		}
+	}
 }
 
 // TestSuiteEndpoint drives /v1/suite over stubbed execution: request
@@ -767,4 +930,6 @@ func TestServedCellSampling(t *testing.T) {
 	if got := s.executions.Load(); got != 2 {
 		t.Fatalf("executions = %d, want 2 (bad request must not run)", got)
 	}
+
+	checkEverySeries(t, s, ts.URL, sampReq)
 }
