@@ -469,12 +469,43 @@ func TestCacheHitBypassesAdmission(t *testing.T) {
 }
 
 // TestPrepare covers request resolution: defaults, ablation sugar, the
-// ablation↔sweep cache-identity contract, and rejection of nonsense.
+// ablation↔sweep cache-identity contract, and rejection of nonsense. Every
+// case is also resolved through the memo, which must give the same cell
+// or error, and must neither keep a rejected request nor outgrow its
+// bound.
 func TestPrepare(t *testing.T) {
 	s := testServer(t, Options{})
 	name := workload.Names()[0]
+	memoLen := func() int {
+		s.memoMu.Lock()
+		defer s.memoMu.Unlock()
+		return len(s.memo)
+	}
+	prep := func(req CellRequest) (*preparedCell, error) {
+		t.Helper()
+		pc, err := s.prepare(req)
+		n := memoLen()
+		mc, merr := s.prepareMemo(req)
+		if err != nil {
+			if merr == nil || merr.Error() != err.Error() {
+				t.Fatalf("%+v: prepare error %v, memoized %v", req, err, merr)
+			}
+			if memoLen() != n {
+				t.Fatalf("%+v: rejected request memoized", req)
+			}
+			return nil, err
+		}
+		if merr != nil {
+			t.Fatalf("%+v: memoized error %v", req, merr)
+		}
+		if mc.addr != pc.addr || mc.spec.Name != pc.spec.Name || mc.series != pc.series || mc.config != pc.config {
+			t.Fatalf("%+v: memoized cell %s %s/%s/%s, prepared %s %s/%s/%s", req,
+				mc.addr, mc.spec.Name, mc.series, mc.config, pc.addr, pc.spec.Name, pc.series, pc.config)
+		}
+		return pc, nil
+	}
 
-	pc, err := s.prepare(CellRequest{Workload: name})
+	pc, err := prep(CellRequest{Workload: name})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +513,7 @@ func TestPrepare(t *testing.T) {
 		t.Fatalf("default cell: series %q addr %q", pc.series, pc.addr)
 	}
 
-	pc, err = s.prepare(CellRequest{Workload: name, Ablation: "ftq4"})
+	pc, err = prep(CellRequest{Workload: name, Ablation: "ftq4"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +533,7 @@ func TestPrepare(t *testing.T) {
 		t.Fatalf("ftq4 address %s != sweep-identity address %s", pc.addr, cell.Address())
 	}
 
-	pc, err = s.prepare(CellRequest{Workload: name, Ablation: "eip"})
+	pc, err = prep(CellRequest{Workload: name, Ablation: "eip"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,16 +541,16 @@ func TestPrepare(t *testing.T) {
 		t.Fatalf("eip ablation resolved to series %q, want eip+fdp24", pc.series)
 	}
 
-	if _, err := s.prepare(CellRequest{Workload: "no-such-workload"}); err == nil {
+	if _, err := prep(CellRequest{Workload: "no-such-workload"}); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
-	if _, err := s.prepare(CellRequest{Workload: name, Ablation: "warp-drive"}); err == nil {
+	if _, err := prep(CellRequest{Workload: name, Ablation: "warp-drive"}); err == nil {
 		t.Fatal("unknown ablation accepted")
 	}
-	if _, err := s.prepare(CellRequest{Workload: name, Series: "cons", FTQ: 8}); err == nil {
+	if _, err := prep(CellRequest{Workload: name, Series: "cons", FTQ: 8}); err == nil {
 		t.Fatal("series+override conflict accepted")
 	}
-	if _, err := s.prepare(CellRequest{Workload: name, Series: "not-a-series"}); err == nil {
+	if _, err := prep(CellRequest{Workload: name, Series: "not-a-series"}); err == nil {
 		t.Fatal("unknown series accepted")
 	}
 
@@ -533,10 +564,34 @@ func TestPrepare(t *testing.T) {
 		{Workload: name, SamplingInterval: -30_000, SamplingDetail: 3_000},
 		{Workload: name, TimeoutMs: -1},
 	} {
-		if _, err := s.prepare(bad); err == nil {
+		if _, err := prep(bad); err == nil {
 			t.Errorf("prepare accepted %+v", bad)
 		}
 	}
+
+	// A request's deadline is not part of its identity.
+	n := memoLen()
+	first, err := s.prepareMemo(CellRequest{Workload: name, Series: "cons", TimeoutMs: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, timeout := range []int64{0, 9_000} {
+		if pc, err := s.prepareMemo(CellRequest{Workload: name, Series: "cons", TimeoutMs: timeout}); err != nil || pc != first {
+			t.Fatalf("timeout_ms %d: memoized %p (%v), want the entry %p", timeout, pc, err, first)
+		}
+	}
+	if got := memoLen(); got != n+1 {
+		t.Fatalf("three timeouts of one request made %d memo entries, want 1", got-n)
+	}
+	for i := 0; i <= memoBound; i++ {
+		if _, err := s.prepareMemo(CellRequest{Workload: name, WarmupInstrs: int64(10_000 + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := memoLen(); got > memoBound {
+		t.Fatalf("memo holds %d entries, bound %d", got, memoBound)
+	}
+
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	for _, bad := range []SuiteRequest{
@@ -744,7 +799,9 @@ func legacyBody(t *testing.T, s *Server, req CellRequest, cached bool) []byte {
 // TestServedCorruptEntryIsRecomputed puts entries that are not byte-exact
 // to the run cache's format, or whose stats do not decode, at a warm
 // cell's path: each request is a miss that the cache counts, the cell is
-// simulated again, and the answer is the cold run's, byte for byte.
+// simulated again, and the answer is the cold run's, byte for byte. The
+// EIP and MANA series pin that a recomputed cell starts from untrained
+// prefetcher tables although its request was resolved before.
 func TestServedCorruptEntryIsRecomputed(t *testing.T) {
 	p := experiment.DefaultParams()
 	p.WarmupInstrs = 20_000
@@ -760,11 +817,6 @@ func TestServedCorruptEntryIsRecomputed(t *testing.T) {
 	defer ts.Close()
 
 	spec := workload.All()[0]
-	req := CellRequest{Workload: spec.Name, Series: "fdp24"}
-	status, _, cold := postCell(t, ts.URL, req)
-	if status != http.StatusOK {
-		t.Fatalf("cold cell got %d: %s", status, cold)
-	}
 	entryPath := func(r CellRequest) string {
 		pc, err := s.prepare(r)
 		if err != nil {
@@ -780,44 +832,51 @@ func TestServedCorruptEntryIsRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := entryPath(req)
-	entry, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	split := bytes.Index(entry, []byte(`,"value":`)) + len(`,"value":`)
-	prefix, value := entry[:split], entry[split:len(entry)-1]
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, entry, "", " "); err != nil {
-		t.Fatal(err)
-	}
-	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	cases := []struct {
-		name  string
-		bytes []byte
-	}{
-		{"another key's entry", other},
-		{"truncated value", join(prefix, value[:len(value)/2], []byte("}"))},
-		{"bytes after the closing brace", join(entry, []byte("\n"))},
-		{"reformatted envelope", indented.Bytes()},
-		{"stats that do not decode", join(prefix, []byte(`{"Cycles":"many"}}`))},
-	}
-	for _, tc := range cases {
-		if err := os.WriteFile(path, tc.bytes, 0o644); err != nil {
+	for _, series := range []string{"fdp24", "eip+fdp24", "mana+fdp24"} {
+		req := CellRequest{Workload: spec.Name, Series: series}
+		status, _, cold := postCell(t, ts.URL, req)
+		if status != http.StatusOK {
+			t.Fatalf("cold %s cell got %d: %s", series, status, cold)
+		}
+		path := entryPath(req)
+		entry, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		before, runs := cache.Metrics(), s.executions.Load()
-		status, _, body := postCell(t, ts.URL, req)
-		if status != http.StatusOK {
-			t.Fatalf("%s: got %d: %s", tc.name, status, body)
+		split := bytes.Index(entry, []byte(`,"value":`)) + len(`,"value":`)
+		prefix, value := entry[:split], entry[split:len(entry)-1]
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, entry, "", " "); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(body, cold) {
-			t.Fatalf("%s: answer differs from the cold run's:\ngot:  %s\nwant: %s", tc.name, body, cold)
+		join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+		cases := []struct {
+			name  string
+			bytes []byte
+		}{
+			{"another key's entry", other},
+			{"truncated value", join(prefix, value[:len(value)/2], []byte("}"))},
+			{"bytes after the closing brace", join(entry, []byte("\n"))},
+			{"reformatted envelope", indented.Bytes()},
+			{"stats that do not decode", join(prefix, []byte(`{"Cycles":"many"}}`))},
 		}
-		// One miss on the fast path, one when the flight probes again.
-		want := runner.Metrics{Hits: before.Hits, Misses: before.Misses + 2, Puts: before.Puts + 1}
-		if got := cache.Metrics(); got != want || s.executions.Load() != runs+1 {
-			t.Fatalf("%s: cache %+v and %d executions, want %+v and %d", tc.name, got, s.executions.Load(), want, runs+1)
+		for _, tc := range cases {
+			if err := os.WriteFile(path, tc.bytes, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before, runs := cache.Metrics(), s.executions.Load()
+			status, _, body := postCell(t, ts.URL, req)
+			if status != http.StatusOK {
+				t.Fatalf("%s, %s: got %d: %s", series, tc.name, status, body)
+			}
+			if !bytes.Equal(body, cold) {
+				t.Fatalf("%s, %s: answer differs from the cold run's:\ngot:  %s\nwant: %s", series, tc.name, body, cold)
+			}
+			// One miss on the fast path, one when the flight probes again.
+			want := runner.Metrics{Hits: before.Hits, Misses: before.Misses + 2, Puts: before.Puts + 1}
+			if got := cache.Metrics(); got != want || s.executions.Load() != runs+1 {
+				t.Fatalf("%s, %s: cache %+v and %d executions, want %+v and %d", series, tc.name, got, s.executions.Load(), want, runs+1)
+			}
 		}
 	}
 }
@@ -864,6 +923,119 @@ func TestSuiteEndpoint(t *testing.T) {
 	if got := n.Load(); got != 6 {
 		t.Fatalf("suite executed %d cells, want 6", got)
 	}
+}
+
+// TestServedSuiteBodies pins /v1/suite bodies with real execution: every
+// series of two workloads, exact and sampled, cold and then warm. Each
+// body must be exactly what json.NewEncoder writes for the SuiteResponse
+// it decodes to, and a warm body must carry the cold one's stats.
+func TestServedSuiteBodies(t *testing.T) {
+	p := experiment.DefaultParams()
+	p.WarmupInstrs = 20_000
+	p.MeasureInstrs = 60_000
+	p.ProfileInstrs = 80_000
+	cache, err := runner.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Params: p, Cache: cache, Workers: 2, MaxConcurrent: 2, MaxQueue: 64})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	series := experiment.SeriesLabels()
+	exact := SuiteRequest{Workloads: workload.Names()[:2], Series: series}
+	sampled := exact
+	sampled.MeasureInstrs, sampled.SamplingInterval, sampled.SamplingDetail, sampled.SamplingWarm = 300_000, 30_000, 3_000, 6_000
+	for _, req := range []SuiteRequest{exact, sampled} {
+		var cold SuiteResponse
+		for pass, warm := range []bool{false, true} {
+			b, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := http.Post(ts.URL+"/v1/suite", "application/json", bytes.NewReader(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(res.Body)
+			res.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.StatusCode != http.StatusOK {
+				t.Fatalf("sampling %d pass %d got %d: %s", req.SamplingInterval, pass, res.StatusCode, body)
+			}
+			var sr SuiteResponse
+			if err := json.Unmarshal(body, &sr); err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(sr); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, want.Bytes()) {
+				t.Fatalf("sampling %d pass %d: body is not the encoder's:\ngot:  %s\nwant: %s", req.SamplingInterval, pass, body, want.Bytes())
+			}
+			if len(sr.Cells) != len(req.Workloads)*len(series) {
+				t.Fatalf("sampling %d pass %d: %d cells", req.SamplingInterval, pass, len(sr.Cells))
+			}
+			if !warm {
+				cold = sr
+				continue
+			}
+			for i, c := range sr.Cells {
+				if !c.Cached || !bytes.Equal(c.Stats, cold.Cells[i].Stats) {
+					t.Fatalf("sampling %d: warm %s/%s cached %v, stats equal to the cold answer's %v",
+						req.SamplingInterval, c.Workload, c.Series, c.Cached, bytes.Equal(c.Stats, cold.Cells[i].Stats))
+				}
+			}
+		}
+	}
+}
+
+// FuzzServedBody checks the answer writer against the encoder: for any
+// header strings, finite headline numbers and stats in CanonicalJSON form,
+// cellBody and suiteBody write exactly what json.NewEncoder writes.
+func FuzzServedBody(f *testing.F) {
+	f.Add("public_srv_60", "fdp24", "", "4f2a", "fdp24", true, false, 1.25, 10.5, 0.0, int64(0))
+	f.Add(`"q"\`, "<s>&\u2028", "\xff\xfe", "\u2029&amp;", "a\"<b>&\u2028\xc3", false, true, -0.0, 1e300, 5e-324, int64(-7))
+	f.Fuzz(func(t *testing.T, wl, series, config, fp, statsConfig string, cached, coalesced bool, ipc, mpki, ci95 float64, windows int64) {
+		for _, x := range []float64{ipc, mpki, ci95} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Skip("the encoder rejects non-finite numbers")
+			}
+		}
+		st := core.Stats{Config: statsConfig, Cycles: windows, Instructions: 3 * windows}
+		if windows%2 == 0 {
+			st.Sampling = &core.SamplingStats{Windows: windows}
+		}
+		stats, err := st.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := CellResponse{Workload: wl, Series: series, Config: config, Fingerprint: fp, Cached: cached,
+			Coalesced: coalesced, IPC: ipc, L1IMPKI: mpki, IPCCI95: ci95, SamplingWindows: windows, Stats: stats}
+		for _, tc := range []struct {
+			v     any
+			write func() ([]byte, error)
+		}{
+			{resp, func() ([]byte, error) { return cellBody(resp) }},
+			{SuiteResponse{Cells: []CellResponse{resp, resp}}, func() ([]byte, error) { return suiteBody([]CellResponse{resp, resp}) }},
+		} {
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(tc.v); err != nil {
+				t.Fatal(err)
+			}
+			got, err := tc.write()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("body differs from the encoder's:\ngot:  %q\nwant: %q", got, want.Bytes())
+			}
+		}
+	})
 }
 
 // TestServedCellSampling pins the sampled run mode over HTTP with real
