@@ -405,7 +405,8 @@ func BenchmarkHWPrefetchers(b *testing.B) {
 // (the paper's industry-standard machine, and the acceptance target for
 // the ≥2× speedup): every benchmark workload simulated cycle-by-cycle
 // (off) versus fast-forwarded (on), no cache. Results are byte-identical
-// in both modes (TestFastForwardEquivalence); only wall-clock differs.
+// in both modes (internal/experiment.TestConformance); only wall-clock
+// differs.
 func BenchmarkSuiteFastForward(b *testing.B) {
 	type built struct {
 		prog *program.Program

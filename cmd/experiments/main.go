@@ -53,7 +53,6 @@ func main() {
 		csvDir   = flag.String("csv", "", "directory to write per-figure CSV files")
 		quiet    = flag.Bool("quiet", false, "suppress progress output")
 		audit    = flag.Bool("audit", false, "check simulator invariants every cycle (FTQ cycle conservation, ordering); panics with a repro dump on violation")
-		fastFwd  = flag.Bool("fast-forward", true, "event-driven cycle skipping (byte-identical results; =false forces cycle-by-cycle)")
 		obsOn    = flag.Bool("obs", false, "record observability bundles per live run plus suite metrics.json/metrics.prom")
 		obsDir   = flag.String("obs-dir", filepath.Join("results", "obs"), "directory for -obs output files")
 		obsStrd  = flag.Int64("obs-stride", 64, "cycles between time-series samples under -obs")
@@ -71,7 +70,6 @@ func main() {
 	p.ProfileInstrs = *profile
 	p.Parallelism = *jobs
 	p.Audit = *audit
-	p.FastForward = *fastFwd
 	if *sampInt > 0 {
 		p.Sampling = core.SamplingConfig{
 			IntervalInstrs: *sampInt,

@@ -35,7 +35,6 @@ type options struct {
 	noGHR     bool
 	hwpf      string
 	json      bool
-	fastFwd   bool
 
 	sampInterval int64
 	sampDetail   int64
@@ -58,7 +57,6 @@ func main() {
 	flag.BoolVar(&o.noGHR, "no-ghr-filter", false, "disable GHR not-taken/BTB-miss filtering")
 	flag.StringVar(&o.hwpf, "hwpf", "none", "hardware L1-I prefetcher: none, nextline, eip")
 	flag.BoolVar(&o.json, "json", false, "emit the statistics snapshot as JSON")
-	flag.BoolVar(&o.fastFwd, "fast-forward", true, "event-driven cycle skipping (byte-identical results; =false forces cycle-by-cycle)")
 	flag.Int64Var(&o.sampInterval, "sampling-interval", 0, "SMARTS sampling unit period in instructions (0 = exact simulation)")
 	flag.Int64Var(&o.sampDetail, "sampling-detail", 1_000, "measured detailed-window length per sampling unit")
 	flag.Int64Var(&o.sampWarm, "sampling-warm", 2_000, "detailed (unmeasured) warm-up before each window")
@@ -88,7 +86,7 @@ func run(o options) error {
 	cfg.Frontend.BPU.FilterGHR = !o.noGHR
 	cfg.WarmupInstrs = o.warmup
 	cfg.MaxInstrs = o.instrs
-	cfg.FastForward = o.fastFwd
+	cfg.FastForward = true
 	if o.sampInterval > 0 {
 		cfg.Sampling = core.SamplingConfig{
 			IntervalInstrs: o.sampInterval,

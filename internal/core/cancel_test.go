@@ -1,47 +1,32 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"sync"
 	"testing"
-	"time"
 
+	"frontsim/internal/cache"
 	"frontsim/internal/xrand"
 )
 
-// countdownCtx is a deterministic context.Context: it reports itself
-// cancelled after Err has been consulted n times. Using it instead of a
-// timer-cancelled context makes the cancellation point a pure function of
-// the simulation's own poll sequence, so every seed reproduces exactly.
-type countdownCtx struct {
-	mu      sync.Mutex
-	redeems int
-	fire    int
-	done    chan struct{}
-}
-
-func newCountdownCtx(fire int) *countdownCtx {
-	return &countdownCtx{fire: fire, done: make(chan struct{})}
-}
-
-func (c *countdownCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
-func (c *countdownCtx) Done() <-chan struct{}       { return c.done }
-func (c *countdownCtx) Value(any) any               { return nil }
-func (c *countdownCtx) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.redeems++
-	if c.redeems >= c.fire {
-		select {
-		case <-c.done:
-		default:
-			close(c.done)
+// cancelAt makes sim's audit hook, which runs after every stepped cycle
+// and at every fast-forward jump boundary, cancel the returned context
+// once the clock reaches cycle at; invariant checks the hook already ran
+// keep running. The cancellation point is a pure function of simulated
+// time, whichever way RunCtx polls its context.
+func cancelAt(sim *Sim, at cache.Cycle) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	check := sim.auditCheck
+	sim.auditCheck = func(now cache.Cycle) error {
+		if now >= at {
+			cancel()
 		}
-		return context.Canceled
+		if check != nil {
+			return check(now)
+		}
+		return nil
 	}
-	return nil
+	return ctx
 }
 
 // checkNotTorn asserts the partial snapshot satisfies the same accounting
@@ -72,15 +57,15 @@ func checkNotTorn(t *testing.T, s *Sim) {
 }
 
 // TestRunCtxCancelledStatsNotTorn cancels fast-forwarded runs at
-// pseudo-randomized poll counts and asserts the partial statistics are
-// never torn. Config.Audit is on, so every simulated cycle — including
-// jump boundaries — also ran the full per-cycle invariant audit up to the
-// cancellation point; under `-tags audit` the same holds for every other
-// test in this package.
+// pseudo-randomized cycles and asserts each run stopped there, cancelled,
+// with partial statistics that are not torn. Config.Audit is on, so every
+// simulated cycle — including jump boundaries — also ran the full
+// per-cycle invariant audit up to the cancellation point; under `-tags
+// audit` the same holds for every other test in this package.
 func TestRunCtxCancelledStatsNotTorn(t *testing.T) {
 	rng := xrand.New(0xcafe_f00d)
 	for i := 0; i < 8; i++ {
-		fire := 1 + rng.Intn(400)
+		at := cache.Cycle(1 + rng.Intn(20_000))
 		for _, conservative := range []bool{false, true} {
 			cfg := smallConfig("cancel", conservative)
 			cfg.FastForward = true
@@ -89,22 +74,7 @@ func TestRunCtxCancelledStatsNotTorn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx := newCountdownCtx(fire)
-			st, err := sim.RunCtx(ctx)
-			if err == nil {
-				// The run finished before the countdown; still a valid case.
-				if st.Cycles == 0 {
-					t.Fatal("completed run returned empty stats")
-				}
-				continue
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("RunCtx = %v, want context.Canceled", err)
-			}
-			if st != (Stats{}) {
-				t.Fatalf("cancelled RunCtx returned non-zero Stats: %+v", st)
-			}
-			checkNotTorn(t, sim)
+			checkCancelled(t, sim, at)
 		}
 	}
 }
@@ -119,57 +89,25 @@ func TestRunCtxCancelledStepModeNotTorn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := sim.RunCtx(newCountdownCtx(2))
-	if err == nil {
-		t.Skip("run completed before the second poll; nothing to assert")
-	}
+	checkCancelled(t, sim, 10_000)
+}
+
+// checkCancelled runs sim with its context cancelled at cycle at and
+// asserts the run stopped mid-run, past at, with zero Stats and a partial
+// snapshot that is not torn.
+func checkCancelled(t *testing.T, sim *Sim, at cache.Cycle) {
+	t.Helper()
+	st, err := sim.RunCtx(cancelAt(sim, at))
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx = %v, want context.Canceled", err)
+		t.Fatalf("cancelled at cycle %d: RunCtx = %v, want context.Canceled", at, err)
+	}
+	if sim.Now() < at {
+		t.Fatalf("run stopped at cycle %d, before its cancellation at %d", sim.Now(), at)
 	}
 	if st != (Stats{}) {
 		t.Fatalf("cancelled RunCtx returned non-zero Stats: %+v", st)
 	}
 	checkNotTorn(t, sim)
-}
-
-// TestRunCtxObservational pins that polling a live (never-cancelled)
-// context does not perturb results: RunCtx with a cancellable context and
-// plain Run produce byte-identical statistics.
-func TestRunCtxObservational(t *testing.T) {
-	cfg := smallConfig("cancel-obs", false)
-	cfg.FastForward = true
-
-	plain, err := New(cfg, source(t, "secret_srv12"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pst, err := plain.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	polled, err := New(cfg, source(t, "secret_srv12"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cst, err := polled.RunCtx(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pj, err := pst.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cj, err := cst.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pj, cj) {
-		t.Fatalf("ctx polling perturbed results:\nplain:  %s\npolled: %s", pj, cj)
-	}
 }
 
 // TestRunCtxPreCancelledStopsImmediately pins the fast exit: a context

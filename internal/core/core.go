@@ -70,9 +70,11 @@ type Config struct {
 	// per-cycle counters algebraically instead of ticking through the
 	// span (see DESIGN §10). The skipped cycles are accounted exactly, so
 	// results are byte-identical with it on or off — pinned by
-	// TestFastForwardEquivalence and FuzzFastForwardEquivalence — and,
-	// like Audit and Obs, it is excluded from the fingerprint:
-	// fast-forwarded and cycle-stepped runs share run-cache entries.
+	// FuzzFastForwardEquivalence and internal/experiment.TestConformance —
+	// and, like Audit and Obs, it is excluded from the fingerprint:
+	// fast-forwarded and cycle-stepped runs share run-cache entries. Every
+	// experiment cell and cmd/fesim run sets it; the cycle-by-cycle loop
+	// stays as the reference the step-vs-jump tests compare against.
 	FastForward bool `json:"-"`
 }
 
@@ -379,7 +381,8 @@ const cancelCheckInterval = 4096
 //
 // Cancellation never perturbs a run that completes: the poll is pure
 // observation, so a run that finishes before its context dies is
-// byte-identical to an uncancelled one (TestRunCtxObservational).
+// byte-identical to an uncancelled one (internal/experiment.TestConformance
+// runs one mode under a live context).
 //
 // The source belongs to RunCtx while it runs. A block source is read on a
 // second goroutine, ahead of the front-end, in the same runs the front-end

@@ -86,44 +86,6 @@ func TestStepNEquivalence(t *testing.T) {
 	}
 }
 
-// TestFastForwardRunByteIdentical pins Run-level equivalence: the same
-// config and source with FastForward on and off produce byte-identical
-// canonical stats, and the flag does not perturb the fingerprint.
-func TestFastForwardRunByteIdentical(t *testing.T) {
-	for _, conservative := range []bool{false, true} {
-		cfg := smallConfig("ffrun", conservative)
-		if on, off := cfg, cfg; func() bool {
-			on.FastForward = true
-			off.FastForward = false
-			return on.Fingerprint() != off.Fingerprint()
-		}() {
-			t.Fatal("FastForward leaked into the fingerprint")
-		}
-
-		cfg.FastForward = false
-		slow, err := RunSource(cfg, source(t, "secret_srv12"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.FastForward = true
-		fast, err := RunSource(cfg, source(t, "secret_srv12"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sj, err := slow.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fj, err := fast.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sj, fj) {
-			t.Fatalf("conservative=%v: stats diverge:\nslow: %s\nfast: %s", conservative, sj, fj)
-		}
-	}
-}
-
 // fuzzSpec derives a randomized workload from a fuzz seed: a suite spec
 // with its structural seed replaced, so program shape, branch outcomes and
 // memory behaviour all vary with the input.

@@ -7,9 +7,12 @@ package core
 // equivalence test that pins byte-identical results across its settings.
 // A field that is neither fingerprinted nor registered fails `make lint`;
 // TestFingerprintNeutralRegistryMirrorsTags keeps the registry and the
-// tags from drifting apart at test time too.
+// tags from drifting apart at test time too. The conformance matrix in
+// internal/experiment sets all three fields on every cell it runs and
+// compares stats, run-cache bytes and fingerprints with the reference
+// mode, hence the qualified names.
 var FingerprintNeutral = map[string]string{
-	"Audit":       "TestAuditCleanRun",
-	"Obs":         "TestObsObservational",
-	"FastForward": "TestFastForwardRunByteIdentical",
+	"Audit":       "internal/experiment.TestConformance",
+	"Obs":         "internal/experiment.TestConformance",
+	"FastForward": "internal/experiment.TestConformance",
 }

@@ -7,62 +7,6 @@ import (
 	"frontsim/internal/obs"
 )
 
-// TestObsObservational pins the obs layer's central guarantee: attaching a
-// sink — at any stride, with the event trace on — cannot change simulated
-// results. Canonical Stats JSON and the config fingerprint must be
-// byte-identical with observation on or off, so observed and unobserved
-// runs share run-cache entries.
-func TestObsObservational(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.WarmupInstrs = 30_000
-	cfg.MaxInstrs = 150_000
-
-	base, err := RunSource(cfg, source(t, "secret_srv12"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseJSON, err := base.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseFP := cfg.Fingerprint()
-
-	for _, stride := range []int64{1, 7, 64} {
-		// The guarantee must hold in both run-loop modes: the fast-forward
-		// path synthesizes the skipped spans' samples, and neither the sink
-		// nor the synthesis may perturb results.
-		for _, ff := range []bool{false, true} {
-			var events bytes.Buffer
-			o := obs.NewObserver(obs.Options{Stride: stride, SampleCap: 512, Events: &events})
-			ocfg := cfg
-			ocfg.Obs = o
-			ocfg.FastForward = ff
-			st, err := RunSource(ocfg, source(t, "secret_srv12"))
-			if err != nil {
-				t.Fatalf("stride %d ff=%v: %v", stride, ff, err)
-			}
-			gotJSON, err := st.CanonicalJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotJSON, baseJSON) {
-				t.Errorf("stride %d ff=%v: Stats diverged with observation on:\n%s\nvs\n%s", stride, ff, gotJSON, baseJSON)
-			}
-			if fp := ocfg.Fingerprint(); fp != baseFP {
-				t.Errorf("stride %d ff=%v: fingerprint changed with a sink attached: %s vs %s", stride, ff, fp, baseFP)
-			}
-			// Guard against a vacuous pass: the sink must actually have been
-			// driven.
-			if o.TotalSamples() == 0 {
-				t.Errorf("stride %d ff=%v: no samples delivered", stride, ff)
-			}
-			if err := o.Flush(); err != nil {
-				t.Fatalf("stride %d ff=%v: event stream error: %v", stride, ff, err)
-			}
-		}
-	}
-}
-
 // TestObsFastForwardSampleIdentity pins the fast path's sample synthesis:
 // at every stride, a fast-forwarded run must deliver exactly the samples —
 // same cycles, same contents, same order — and exactly the event trace

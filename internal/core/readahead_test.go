@@ -103,7 +103,8 @@ func TestRunCtxJoinsReadAhead(t *testing.T) {
 		{"mid-run cancel", func() (*Sim, context.Context) {
 			cfg := smallConfig("ra", false)
 			cfg.FastForward = true
-			return newSim(t, cfg, blockSource(t, "secret_srv12")), newCountdownCtx(200)
+			sim := newSim(t, cfg, blockSource(t, "secret_srv12"))
+			return sim, cancelAt(sim, 5000)
 		}, func(err error, p any) bool { return errors.Is(err, context.Canceled) }},
 		{"wedge", func() (*Sim, context.Context) {
 			sim := newSim(t, smallConfig("ra", false), blockSource(t, "secret_srv12"))

@@ -150,30 +150,6 @@ func TestSampledEstimateTracksExact(t *testing.T) {
 	}
 }
 
-// TestSampledFastForwardEquivalence pins the conformance contract: the
-// event-driven fast path must produce byte-identical sampled results, with
-// audit on for good measure.
-func TestSampledFastForwardEquivalence(t *testing.T) {
-	var snaps [][]byte
-	for _, ff := range []bool{false, true} {
-		cfg := sampledConfig("ff")
-		cfg.FastForward = ff
-		cfg.Audit = true
-		st, err := RunSource(cfg, source(t, "secret_srv12"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := st.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps = append(snaps, b)
-	}
-	if !bytes.Equal(snaps[0], snaps[1]) {
-		t.Fatalf("sampled fast-forward diverged:\n%s\n%s", snaps[0], snaps[1])
-	}
-}
-
 // TestSampledSourceDrainMidWindow: a source that drains inside a detailed
 // window must discard the partial window (TruncatedWindows) and terminate
 // cleanly, never averaging a short window into the estimate.

@@ -255,3 +255,54 @@ func matrixCanonical(t *testing.T, m *Matrix) []byte {
 	}
 	return b
 }
+
+// TestStaleSchemaEntryRejected pins the cache-key schema bump: an entry
+// written under the pre-sampling key layout (schema 5) must miss, not be
+// silently reused, when the current binary probes the same simulation.
+// Before cacheSchema moved to 6 this test failed — the stale entry's key
+// was byte-identical to the live one.
+func TestStaleSchemaEntryRejected(t *testing.T) {
+	if cacheSchema != core.FingerprintSchema {
+		t.Fatalf("cacheSchema %d and core.FingerprintSchema %d moved apart; bump them in lockstep", cacheSchema, core.FingerprintSchema)
+	}
+	c, err := runner.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tinyParams()
+	p.Cache = c
+	spec, ok := workload.Lookup("public_srv_60")
+	if !ok {
+		t.Fatal("suite workload missing")
+	}
+	fdp, err := SeriesCell(spec, "fdp24", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Write the FDP cell exactly as a schema-5 binary would have keyed it.
+	stale := fdp.key
+	stale.Schema = 5
+	if err := c.Put(stale, core.Stats{Config: "stale-schema-5"}); err != nil {
+		t.Fatal(err)
+	}
+
+	var got core.Stats
+	hit, err := c.Get(fdp.key, &got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit {
+		t.Fatalf("stale schema-5 cache entry silently reused: %+v", got)
+	}
+
+	// The stale entry is still addressable under its own (old) key — the
+	// bump retires it from current lookups without corrupting the store.
+	hit, err = c.Get(stale, &got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit || got.Config != "stale-schema-5" {
+		t.Fatal("stale entry unexpectedly unreadable under its own key")
+	}
+}

@@ -69,33 +69,30 @@ type Params struct {
 	// run finishes. Cached cells never invoke it — there is no simulation
 	// to observe. Observational only; never part of cache keys.
 	ObsRun func(workload, series string) obs.Sink `json:"-"`
-	// FastForward enables the event-driven cycle-skipping fast path
-	// (core.Config.FastForward) for every simulated cell. Results are
-	// byte-identical with it on or off (TestFastForwardEquivalence), so it
-	// is excluded from fingerprints and cache keys: fast-forwarded and
-	// cycle-stepped runs share cache entries. DefaultParams turns it on.
-	FastForward bool `json:"-"`
 	// Sampling selects SMARTS-style sampled simulation
-	// (core.Config.Sampling) for every simulated cell. Unlike Audit and
-	// FastForward it is *semantic*: the sampling geometry is part
-	// of every config fingerprint, so sampled and exact cells never share
-	// run-cache entries, and sampled Stats carry the per-window CPI
-	// estimate (core.SamplingStats) the tables render as ± confidence
-	// half-widths. The zero value keeps every cell exact. MaxInstrs still
-	// bounds the covered stream region, so a sampled suite traverses the
-	// same instructions as its exact counterpart. The extensions X1–X3
-	// always run exact (the function extension clears Sampling for all): X2
+	// (core.Config.Sampling) for every simulated cell. Unlike Audit it is
+	// *semantic*: the sampling geometry is part of every config
+	// fingerprint, so sampled and exact cells never share run-cache
+	// entries, and sampled Stats carry the per-window CPI estimate
+	// (core.SamplingStats) the tables render as ± confidence half-widths.
+	// The zero value keeps every cell exact. MaxInstrs still bounds the
+	// covered stream region, so a sampled suite traverses the same
+	// instructions as its exact counterpart. The extensions X1–X3 always
+	// run exact (the function extension clears Sampling for all): X2
 	// compares absolute IPC across rewritten programs, where sampling
-	// noise would feed back into plan selection.
+	// noise would feed back into plan selection. TestConformance runs
+	// sampled cells under every execution mode.
 	Sampling core.SamplingConfig
 }
 
 // stamp applies p's budgets and run modes to a machine configuration.
-// Every cell's config passes through it when the cell is resolved.
+// Every cell's config passes through it when the cell is resolved. Every
+// cell fast-forwards: the cycle-by-cycle loop is byte-identical
+// (TestConformance) and only slower.
 func (p Params) stamp(c core.Config) core.Config {
 	c.WarmupInstrs, c.MaxInstrs = p.WarmupInstrs, p.MeasureInstrs
 	c.Audit = p.Audit
-	c.FastForward = p.FastForward
+	c.FastForward = true
 	c.Sampling = p.Sampling
 	return c
 }
@@ -108,7 +105,6 @@ func DefaultParams() Params {
 		ProfileInstrs: 2_000_000,
 		AsmDB:         asmdb.DefaultOptions(),
 		ExecSeedSalt:  0x5eed5eed5eed5eed,
-		FastForward:   true,
 	}
 }
 

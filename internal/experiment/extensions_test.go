@@ -21,12 +21,12 @@ var extensionTables = []struct {
 	run  func([]workload.Spec, Params) (*stats.Table, error)
 }{{"preload", ExtensionPreload}, {"ispy", ExtensionISpy}, {"feedback", ExtensionFeedback}}
 
-// simEntries counts the simulation entries in the run cache at dir: one
-// per live cell.
-func simEntries(t *testing.T, dir string) int {
+// simEntries counts the simulation entries in a run-cache snapshot
+// (snapshotDir): one per live cell.
+func simEntries(t *testing.T, files map[string][]byte) int {
 	t.Helper()
 	n := 0
-	for rel, b := range snapshotDir(t, dir) {
+	for rel, b := range files {
 		var e struct {
 			Key struct {
 				Kind string `json:"kind"`
@@ -54,12 +54,12 @@ func extensionOnMatrix(t *testing.T, run func([]workload.Spec, Params) (*stats.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := simEntries(t, dir)
+	before := simEntries(t, snapshotDir(t, dir))
 	cold, err := run([]workload.Spec{spec}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := simEntries(t, dir) - before; n != wantSims {
+	if n := simEntries(t, snapshotDir(t, dir)) - before; n != wantSims {
 		t.Errorf("cold pass stored %d sim entries, want %d", n, wantSims)
 	}
 	warm := cellParams(t, dir)

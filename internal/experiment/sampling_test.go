@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"math"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -77,61 +76,6 @@ func TestSamplingCacheDisjoint(t *testing.T) {
 	}
 	if m.FDP.Sampling == nil || m.FDP.Sampling.Windows == 0 {
 		t.Fatalf("sampled matrix cell lacks sampling stats: %+v", m.FDP.Sampling)
-	}
-}
-
-// TestSamplingConformance crosses the sampled run mode with the suite's
-// result-neutral toggles — fast-forward and audit — and requires
-// byte-identical matrices from every combination. Each run uses a cold
-// cache so nothing is served across combinations.
-func TestSamplingConformance(t *testing.T) {
-	spec, ok := workload.Lookup("public_srv_60")
-	if !ok {
-		t.Fatal("workload missing")
-	}
-	type combo struct {
-		name      string
-		ff, audit bool
-	}
-	combos := []combo{
-		{"ff", true, false},
-		{"plain", false, false},
-		{"audit", false, true},
-	}
-	var ref *Matrix
-	for _, cb := range combos {
-		p := sampledParams()
-		p.FastForward, p.Audit = cb.ff, cb.audit
-		c, err := runner.OpenCache(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Cache = c
-		m, err := RunMatrix(spec, 1, p)
-		if err != nil {
-			t.Fatalf("%s: %v", cb.name, err)
-		}
-		if ref == nil {
-			ref = m
-			continue
-		}
-		for id := seriesID(0); id < numSeries; id++ {
-			a, err := ref.seriesPtr(id).CanonicalJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := m.seriesPtr(id).CanonicalJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, b) {
-				t.Errorf("%s: series %s differs from %s:\n %s\n %s",
-					cb.name, seriesTable[id].label, combos[0].name, b, a)
-			}
-		}
-		if !reflect.DeepEqual(ref.Plan, m.Plan) {
-			t.Errorf("%s: plan differs", cb.name)
-		}
 	}
 }
 

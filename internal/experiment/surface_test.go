@@ -15,7 +15,6 @@ import (
 // closeCountingSink is a per-run observer that discards what it observes
 // and counts how often it is closed.
 type closeCountingSink struct {
-	key    string
 	closes atomic.Int64
 }
 
@@ -24,54 +23,35 @@ func (s *closeCountingSink) Sample(obs.Sample)   {}
 func (s *closeCountingSink) SampleStride() int64 { return 4096 }
 func (s *closeCountingSink) Close() error        { s.closes.Add(1); return nil }
 
-// TestEvaluationSurfaceAudited runs the whole evaluation surface — the
-// ten-series matrix, all eight ablations, the three extensions and cold
-// single cells — once
-// from a cold cache with per-cycle audit and both observability hooks on.
-// Audit panics on any violated invariant. The test pins the per-run
-// observer contract that cmd/frontbench's suite_cold relies on to time
-// cells: ObsRun is called exactly once per live cell (one call per
-// simulated cache entry, and one per matrix series), and every sink it
-// hands out is closed exactly once.
+// TestEvaluationSurfaceAudited runs the evaluation surface's entry points
+// — all eight ablations, the three extensions and cold single cells —
+// once from a cold cache with per-cycle audit and both observability
+// hooks on. Audit panics on any violated invariant. The test pins that
+// every entry point routes its live cells through the per-run observer
+// contract cmd/frontbench's suite_cold relies on to time cells: ObsRun is
+// called exactly once per live cell (one call per simulated cache entry),
+// and every sink it hands out is closed exactly once. TestConformance
+// checks the same contract cell by cell, in every mode, for the matrix's
+// cells.
 func TestEvaluationSurfaceAudited(t *testing.T) {
-	spec, ok := workload.Lookup("public_srv_60")
-	if !ok {
-		t.Fatal("suite workload missing")
-	}
+	spec := mustLookup(t, "public_srv_60")
 	dir := t.TempDir()
 	c, err := runner.OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := harnessParams()
+	p := confParams()[0].p
 	p.Cache = c
 	p.Audit = true
 	p.Obs = &obs.SuiteCollector{}
 	var mu sync.Mutex
 	var sinks []*closeCountingSink
 	p.ObsRun = func(workload, series string) obs.Sink {
-		s := &closeCountingSink{key: workload + "/" + series}
+		s := &closeCountingSink{}
 		mu.Lock()
 		sinks = append(sinks, s)
 		mu.Unlock()
 		return s
-	}
-
-	if _, err := RunMatrix(spec, 1, p); err != nil {
-		t.Fatal(err)
-	}
-	// Every series of a cold matrix is live: one observer each.
-	perSeries := map[string]int{}
-	for _, s := range sinks {
-		perSeries[s.key]++
-	}
-	for _, label := range SeriesLabels() {
-		if n := perSeries[spec.Name+"/"+label]; n != 1 {
-			t.Errorf("matrix series %s: ObsRun called %d times, want 1", label, n)
-		}
-	}
-	if len(sinks) != int(numSeries) {
-		t.Errorf("matrix: ObsRun called %d times, want %d", len(sinks), numSeries)
 	}
 
 	specs := []workload.Spec{spec}
@@ -99,10 +79,7 @@ func TestEvaluationSurfaceAudited(t *testing.T) {
 	// Single cells keep the contract too: a plan-derived cell on a second
 	// workload runs its conservative dependency and itself live, and a
 	// config-override cell runs live once.
-	spec2, ok := workload.Lookup("secret_srv12")
-	if !ok {
-		t.Fatal("suite workload missing")
-	}
+	spec2 := mustLookup(t, "secret_srv12")
 	pool := runner.NewPool(2)
 	defer pool.Close()
 	before := len(sinks)
@@ -125,12 +102,12 @@ func TestEvaluationSurfaceAudited(t *testing.T) {
 
 	// Each live cell stores exactly one simulation entry, so the cache's
 	// sim entries count the live cells of the whole pass.
-	if live := simEntries(t, dir); len(sinks) != live {
+	if live := simEntries(t, snapshotDir(t, dir)); len(sinks) != live {
 		t.Errorf("ObsRun called %d times for %d live cells", len(sinks), live)
 	}
-	for _, s := range sinks {
+	for i, s := range sinks {
 		if n := s.closes.Load(); n != 1 {
-			t.Errorf("sink %s closed %d times, want 1", s.key, n)
+			t.Errorf("sink %d closed %d times, want 1", i, n)
 		}
 	}
 }

@@ -11,7 +11,7 @@
 //   - observation is strictly read-only: a Sink receives copies of state
 //     the simulator already computed, and nothing flows back. Simulated
 //     results are bit-identical with observation on or off (pinned by
-//     TestObsObservational in internal/core and the CI obs-smoke diff);
+//     the obs axis of internal/experiment.TestConformance);
 //   - disabled means free: every hook site is a nil check on a Sink
 //     field, the same pattern as core.Config.Audit. No sample is built
 //     and no event is allocated unless a sink is attached;

@@ -290,26 +290,6 @@ func TestSuiteCollectorRollups(t *testing.T) {
 	}
 }
 
-func TestTeeFanOut(t *testing.T) {
-	a := NewObserver(Options{Stride: 4})
-	b := NewObserver(Options{Stride: 6})
-	tee := Tee{a, b}
-	if got := tee.SampleStride(); got != 4 {
-		t.Fatalf("tee stride = %d, want min child stride 4", got)
-	}
-	tee.Event(Event{Kind: EvRedirect})
-	tee.Sample(Sample{Cycle: 10})
-	if a.EventCount(EvRedirect) != 1 || b.EventCount(EvRedirect) != 1 {
-		t.Fatal("tee did not fan out events")
-	}
-	if a.TotalSamples() != 1 || b.TotalSamples() != 1 {
-		t.Fatal("tee did not fan out samples")
-	}
-	if got := (Tee{}).SampleStride(); got != 1 {
-		t.Fatalf("empty tee stride = %d, want 1", got)
-	}
-}
-
 func TestEventCountsMetricSet(t *testing.T) {
 	o := NewObserver(Options{})
 	o.Event(Event{Kind: EvMergeHit})

@@ -270,42 +270,6 @@ func (o *Observer) EventCountsMetricSet(labels ...Label) MetricSet {
 
 var _ Sink = (*Observer)(nil)
 
-// Tee fans a Sink out to several sinks; stride is the minimum of the
-// children's strides.
-type Tee []Sink
-
-// Event implements Sink.
-func (t Tee) Event(e Event) {
-	for _, s := range t {
-		s.Event(e)
-	}
-}
-
-// Sample implements Sink.
-func (t Tee) Sample(sm Sample) {
-	for _, s := range t {
-		s.Sample(sm)
-	}
-}
-
-// SampleStride implements Sink.
-func (t Tee) SampleStride() int64 {
-	var min int64
-	for _, s := range t {
-		st := s.SampleStride()
-		if st <= 0 {
-			st = 1
-		}
-		if min == 0 || st < min {
-			min = st
-		}
-	}
-	if min == 0 {
-		return 1
-	}
-	return min
-}
-
 func init() {
 	// Compile-time-ish guard that every kind has a wire name.
 	for i, n := range eventKindNames {

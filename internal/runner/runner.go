@@ -40,7 +40,6 @@ type Pool struct {
 	cond   *sync.Cond
 	deques [][]*task
 	next   int // round-robin push cursor
-	queued int // tasks currently queued across all deques
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -107,7 +106,6 @@ func (p *Pool) takeLocked(self int, g *Group) *task {
 				if d[i].g == g {
 					t := d[i]
 					p.deques[di] = append(d[:i:i], d[i+1:]...)
-					p.queued--
 					return t
 				}
 			}
@@ -118,7 +116,6 @@ func (p *Pool) takeLocked(self int, g *Group) *task {
 		if d := p.deques[self]; len(d) > 0 {
 			t := d[len(d)-1]
 			p.deques[self] = d[:len(d)-1]
-			p.queued--
 			return t
 		}
 	}
@@ -134,7 +131,6 @@ func (p *Pool) takeLocked(self int, g *Group) *task {
 	d := p.deques[victim]
 	t := d[0]
 	p.deques[victim] = d[1:]
-	p.queued--
 	return t
 }
 
@@ -201,7 +197,6 @@ func (g *Group) Go(fn func() error) {
 	i := p.next % len(p.deques)
 	p.next++
 	p.deques[i] = append(p.deques[i], t)
-	p.queued++
 	// Broadcast, not Signal: a group waiter can be woken by a task it is
 	// not allowed to take, and a single consumed signal would then strand
 	// the task with every worker asleep.
@@ -290,7 +285,6 @@ func (p *Pool) purgeLocked(g *Group) {
 		for _, t := range d {
 			if t.g == g {
 				g.active--
-				p.queued--
 				continue
 			}
 			kept = append(kept, t)

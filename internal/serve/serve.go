@@ -148,7 +148,6 @@ func New(opts Options) *Server {
 	if p.ExecSeedSalt == 0 {
 		p.ExecSeedSalt = def.ExecSeedSalt
 	}
-	p.FastForward = true
 	p.Cache = opts.Cache
 	s := &Server{
 		opts:    opts,
