@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt lint lint-strict test race audit vet check suite-smoke mode-smoke serve-smoke cover
+.PHONY: all build fmt lint lint-strict test race audit vet check suite-smoke mode-smoke serve-smoke examples cover
 
 all: check
 
@@ -142,10 +142,20 @@ serve-smoke:
 	test -s /tmp/frontsim-serve-smoke/final.prom
 	@echo "serve-smoke: coalescing, backpressure, byte-identity, and graceful drain verified"
 
+# examples runs every example program but serveclient, which needs a
+# running simd and runs in serve-smoke. Any non-zero exit fails the target:
+# no Go test runs the examples, so a failure only they reach at run time,
+# such as a type assertion on a run's prefetcher, shows here.
+examples:
+	for ex in quickstart scenarios asmdb_pipeline feedback_tuning fastiter prefetcher_compare; do \
+		$(GO) run ./examples/$$ex > /dev/null || { echo "FAIL: examples/$$ex"; exit 1; }; \
+	done
+	@echo "examples: all six ran to completion"
+
 # cover builds the coverage profile the CI gate ratchets on
 # (.github/coverage-baseline.txt) and prints the total.
 cover:
 	$(GO) test -count=1 -coverprofile=/tmp/frontsim-cover.out -covermode=atomic ./internal/...
 	$(GO) tool cover -func=/tmp/frontsim-cover.out | tail -1
 
-check: fmt vet build lint-strict race audit suite-smoke mode-smoke serve-smoke
+check: fmt vet build examples lint-strict race audit suite-smoke mode-smoke serve-smoke

@@ -18,7 +18,6 @@ import (
 	"frontsim/internal/hwpf"
 	"frontsim/internal/obs"
 	"frontsim/internal/program"
-	"frontsim/internal/runner"
 	"frontsim/internal/stats"
 	"frontsim/internal/workload"
 )
@@ -51,14 +50,10 @@ func benchSpecs() []workload.Spec {
 	return out
 }
 
-// runSuite regenerates the benchmark sub-suite, optionally through a run
-// cache — pass nil for the always-cold path the figure benchmarks use, or
-// a runner.Cache to measure cold/warm cache behavior.
-func runSuite(b *testing.B, c *runner.Cache) []*experiment.Matrix {
+// runSuite regenerates the benchmark sub-suite with no run cache.
+func runSuite(b *testing.B) []*experiment.Matrix {
 	b.Helper()
-	p := benchParams()
-	p.Cache = c
-	ms, err := experiment.RunSuite(benchSpecs(), p, nil)
+	ms, err := experiment.RunSuite(benchSpecs(), benchParams(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,7 +90,7 @@ func BenchmarkTable1Config(b *testing.B) {
 func BenchmarkFigure1IPC(b *testing.B) {
 	var ms []*experiment.Matrix
 	for i := 0; i < b.N; i++ {
-		ms = runSuite(b, nil)
+		ms = runSuite(b)
 	}
 	b.ReportMetric(stats.Geomean(speedups(ms, func(m *experiment.Matrix) core.Stats { return m.AsmdbCons })), "asmdb")
 	b.ReportMetric(stats.Geomean(speedups(ms, func(m *experiment.Matrix) core.Stats { return m.AsmdbConsIdeal })), "asmdb-ideal")
@@ -110,7 +105,7 @@ func BenchmarkFigure1IPC(b *testing.B) {
 func BenchmarkFigure7Bloat(b *testing.B) {
 	var ms []*experiment.Matrix
 	for i := 0; i < b.N; i++ {
-		ms = runSuite(b, nil)
+		ms = runSuite(b)
 	}
 	var static, dynamic []float64
 	for _, m := range ms {
@@ -126,7 +121,7 @@ func BenchmarkFigure7Bloat(b *testing.B) {
 func BenchmarkFigure8FetchLatency(b *testing.B) {
 	var ms []*experiment.Matrix
 	for i := 0; i < b.N; i++ {
-		ms = runSuite(b, nil)
+		ms = runSuite(b)
 	}
 	mean := func(f func(*experiment.Matrix) float64) float64 {
 		var xs []float64
@@ -167,7 +162,7 @@ func stallMetric(b *testing.B, ms []*experiment.Matrix, metric func(core.Stats) 
 func BenchmarkFigure9HeadStalls(b *testing.B) {
 	var ms []*experiment.Matrix
 	for i := 0; i < b.N; i++ {
-		ms = runSuite(b, nil)
+		ms = runSuite(b)
 	}
 	stallMetric(b, ms, func(st core.Stats) int64 { return st.FTQ.HeadStallCycles })
 }
@@ -177,7 +172,7 @@ func BenchmarkFigure9HeadStalls(b *testing.B) {
 func BenchmarkFigure10Waiting(b *testing.B) {
 	var ms []*experiment.Matrix
 	for i := 0; i < b.N; i++ {
-		ms = runSuite(b, nil)
+		ms = runSuite(b)
 	}
 	stallMetric(b, ms, func(st core.Stats) int64 { return st.FTQ.WaitingEntryCycles })
 }
@@ -187,7 +182,7 @@ func BenchmarkFigure10Waiting(b *testing.B) {
 func BenchmarkFigure11Partial(b *testing.B) {
 	var ms []*experiment.Matrix
 	for i := 0; i < b.N; i++ {
-		ms = runSuite(b, nil)
+		ms = runSuite(b)
 	}
 	stallMetric(b, ms, func(st core.Stats) int64 { return st.FTQ.PartialEntries })
 }
@@ -197,7 +192,7 @@ func BenchmarkFigure11Partial(b *testing.B) {
 func BenchmarkMethodologyMPKI(b *testing.B) {
 	var ms []*experiment.Matrix
 	for i := 0; i < b.N; i++ {
-		ms = runSuite(b, nil)
+		ms = runSuite(b)
 	}
 	var mpki []float64
 	for _, m := range ms {
@@ -213,7 +208,7 @@ func BenchmarkMethodologyMPKI(b *testing.B) {
 func BenchmarkL1IAccessReduction(b *testing.B) {
 	var ms []*experiment.Matrix
 	for i := 0; i < b.N; i++ {
-		ms = runSuite(b, nil)
+		ms = runSuite(b)
 	}
 	var reductions []float64
 	for _, m := range ms {
@@ -301,67 +296,6 @@ func BenchmarkAblationFrontend(b *testing.B) {
 	}
 }
 
-// BenchmarkSuiteColdCache measures a from-scratch suite regeneration with
-// the run cache enabled but empty: the first-iteration cost a user pays
-// before warm re-runs kick in. Each iteration gets a fresh cache
-// directory so every run stays cold.
-func BenchmarkSuiteColdCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c, err := runner.OpenCache(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		runSuite(b, c)
-	}
-}
-
-// BenchmarkSuiteWarmCache primes the cache once outside the timer, then
-// measures fully-warm regenerations — the fast-iteration number quoted in
-// EXPERIMENTS.md. Compare against BenchmarkSuiteColdCache.
-func BenchmarkSuiteWarmCache(b *testing.B) {
-	c, err := runner.OpenCache(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	runSuite(b, c) // prime
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runSuite(b, c)
-	}
-	b.StopTimer()
-	m := c.Metrics()
-	if m.Misses > int64(m.Puts) { // only the priming run may miss
-		b.Fatalf("warm iterations missed the cache: %+v", m)
-	}
-	b.ReportMetric(float64(m.Hits)/float64(b.N), "cache-hits/op")
-}
-
-// BenchmarkSimThroughput measures raw simulator speed (instructions per
-// second) on the industry configuration — the engineering metric for the
-// simulator itself rather than a paper artifact.
-func BenchmarkSimThroughput(b *testing.B) {
-	spec, _ := workload.Lookup("secret_srv12")
-	prog, err := spec.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := core.DefaultConfig()
-	c.WarmupInstrs = 0
-	c.MaxInstrs = 300_000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := core.RunSource(c, program.NewExecutor(prog, 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(0)
-		_ = st
-	}
-	b.ReportMetric(float64(c.MaxInstrs)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
-}
-
 // BenchmarkHWPrefetchers compares the hardware comparators on one server
 // workload (the Figure 1 EIP series at benchmark scale).
 func BenchmarkHWPrefetchers(b *testing.B) {
@@ -371,75 +305,25 @@ func BenchmarkHWPrefetchers(b *testing.B) {
 		b.Fatal(err)
 	}
 	seed := spec.Seed ^ 0x5eed5eed5eed5eed
+	nl := core.DefaultConfig()
+	nl.WarmupInstrs, nl.MaxInstrs = 150_000, 400_000
+	nl.Frontend.Prefetcher = hwpf.NextLineConfig{Degree: 2}
+	eip := nl
+	eip.Frontend.Prefetcher = hwpf.DefaultEIPConfig()
 	var nlIPC, eipIPC float64
 	for i := 0; i < b.N; i++ {
-		mk := func() core.Config {
-			c := core.DefaultConfig()
-			c.WarmupInstrs, c.MaxInstrs = 150_000, 400_000
-			return c
-		}
-		c := mk()
-		c.Frontend.Prefetcher = hwpf.NewNextLine(2)
-		st, err := core.RunSource(c, program.NewExecutor(prog, seed))
+		st, err := core.RunSource(nl, program.NewExecutor(prog, seed))
 		if err != nil {
 			b.Fatal(err)
 		}
 		nlIPC = st.IPC()
-		eip, err := hwpf.NewEIP(hwpf.DefaultEIPConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		c = mk()
-		c.Frontend.Prefetcher = eip
-		if st, err = core.RunSource(c, program.NewExecutor(prog, seed)); err != nil {
+		if st, err = core.RunSource(eip, program.NewExecutor(prog, seed)); err != nil {
 			b.Fatal(err)
 		}
 		eipIPC = st.IPC()
 	}
 	b.ReportMetric(nlIPC, "nextline-ipc")
 	b.ReportMetric(eipIPC, "eip-ipc")
-}
-
-// BenchmarkSuiteFastForward measures the event-driven cycle-skipping fast
-// path on the cold suite restricted to the 24-entry-FTQ FDP configuration
-// (the paper's industry-standard machine, and the acceptance target for
-// the ≥2× speedup): every benchmark workload simulated cycle-by-cycle
-// (off) versus fast-forwarded (on), no cache. Results are byte-identical
-// in both modes (internal/experiment.TestConformance); only wall-clock
-// differs.
-func BenchmarkSuiteFastForward(b *testing.B) {
-	type built struct {
-		prog *program.Program
-		seed uint64
-	}
-	var progs []built
-	for _, spec := range benchSpecs() {
-		prog, err := spec.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		progs = append(progs, built{prog, spec.Seed ^ 0x5eed5eed5eed5eed})
-	}
-	run := func(b *testing.B, ff bool) {
-		var instrs, cycles int64
-		for i := 0; i < b.N; i++ {
-			for _, pr := range progs {
-				c := core.DefaultConfig()
-				c.WarmupInstrs, c.MaxInstrs = 150_000, 400_000
-				c.FastForward = ff
-				st, err := core.RunSource(c, program.NewExecutor(pr.prog, pr.seed))
-				if err != nil {
-					b.Fatal(err)
-				}
-				instrs += st.Instructions
-				cycles += st.Cycles
-			}
-		}
-		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
-		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
-	}
-	b.Run("fdp24-off", func(b *testing.B) { run(b, false) })
-	b.Run("fdp24-on", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkSimObsOverhead measures the cost of the observability layer in

@@ -98,13 +98,9 @@ func run(o options) error {
 	switch o.hwpf {
 	case "none":
 	case "nextline":
-		cfg.Frontend.Prefetcher = hwpf.NewNextLine(2)
+		cfg.Frontend.Prefetcher = hwpf.NextLineConfig{Degree: 2}
 	case "eip":
-		eip, err := hwpf.NewEIP(hwpf.DefaultEIPConfig())
-		if err != nil {
-			return err
-		}
-		cfg.Frontend.Prefetcher = eip
+		cfg.Frontend.Prefetcher = hwpf.DefaultEIPConfig()
 	default:
 		return fmt.Errorf("unknown -hwpf %q", o.hwpf)
 	}

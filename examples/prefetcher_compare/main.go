@@ -9,9 +9,9 @@ import (
 	"log"
 
 	"frontsim/internal/asmdb"
+	"frontsim/internal/cache"
 	"frontsim/internal/cfg"
 	"frontsim/internal/core"
-	"frontsim/internal/frontend"
 	"frontsim/internal/hwpf"
 	"frontsim/internal/program"
 	"frontsim/internal/trace"
@@ -31,15 +31,23 @@ func main() {
 	}
 	seed := spec.Seed ^ 0x5eed5eed5eed5eed
 
-	run := func(name string, pf frontend.InstrPrefetcher, p *program.Program, ftqDepth int) core.Stats {
+	var eip *hwpf.EIP // the EIP run's own prefetcher, for its counters
+	run := func(name string, pf cache.PrefetcherConfig, p *program.Program, ftqDepth int) core.Stats {
 		c := core.DefaultConfig()
 		c.Name = name
 		c.Frontend.FTQEntries = ftqDepth
 		c.Frontend.Prefetcher = pf
 		c.WarmupInstrs, c.MaxInstrs = warmup, measure
-		st, err := core.RunSource(c, program.NewExecutor(p, seed))
+		sim, err := core.New(c, program.NewExecutor(p, seed))
 		if err != nil {
 			log.Fatal(err)
+		}
+		st, err := sim.Run()
+		if err != nil {
+			log.Fatal(err)
+		}
+		if e, ok := sim.Frontend().Prefetcher().(*hwpf.EIP); ok {
+			eip = e
 		}
 		return st
 	}
@@ -61,11 +69,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	eip, err := hwpf.NewEIP(hwpf.DefaultEIPConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	results := []struct {
 		name string
 		st   core.Stats
@@ -73,8 +76,8 @@ func main() {
 		{"conservative (FTQ=2)", base},
 		{"asmdb + conservative", run("asmdb+cons", nil, rewritten, 2)},
 		{"fdp (FTQ=24)", run("fdp", nil, prog, 24)},
-		{"fdp + next-line(2)", run("fdp+nl", hwpf.NewNextLine(2), prog, 24)},
-		{"fdp + eip", run("fdp+eip", eip, prog, 24)},
+		{"fdp + next-line(2)", run("fdp+nl", hwpf.NextLineConfig{Degree: 2}, prog, 24)},
+		{"fdp + eip", run("fdp+eip", hwpf.DefaultEIPConfig(), prog, 24)},
 		{"fdp + asmdb", run("fdp+asmdb", nil, rewritten, 24)},
 	}
 

@@ -289,7 +289,12 @@ func (l *Level) Probe(lineAddr isa.Addr) bool {
 	return l.find(rec, key) >= 0
 }
 
-// Ready returns the availability cycle of the line if present.
+// Ready returns the availability cycle of the line if present. Ready
+// cycles are computed eagerly: Access and DRAM.Access decide every fill's
+// ready cycle at access time and touch no per-cycle state afterward, so
+// between accesses each line's ready cycle is a constant. That is what
+// lets the fast-forward scheduler (internal/core) treat fill completions
+// as future events it can jump toward without ticking the hierarchy.
 func (l *Level) Ready(lineAddr isa.Addr) (Cycle, bool) {
 	rec, key := l.record(lineAddr.Line())
 	if wi := l.find(rec, key); wi >= 0 {

@@ -132,15 +132,28 @@ func (h *Hierarchy) ITLBStats() TLBStats {
 	return h.ITLB.Stats()
 }
 
-// InstrReady reports the availability cycle of the instruction line
-// containing pc, if resident in the L1-I. Completion times are computed
-// eagerly: Level.Access and DRAM.Access decide every fill's ready cycle at
-// access time and touch no per-cycle state afterward, so between accesses
-// each line's ready cycle is a constant. That is what lets the fast-forward
-// scheduler (internal/core) treat fill completions as future events it can
-// jump toward without ticking the hierarchy.
-func (h *Hierarchy) InstrReady(pc isa.Addr) (Cycle, bool) {
-	return h.L1I.Ready(pc.Line())
+// InstrPrefetcher is a hardware L1-I prefetcher: it observes demand line
+// fetches and may issue speculative fills through a callback. An instance
+// holds one run's learned state, so one run owns it.
+type InstrPrefetcher interface {
+	// OnFetch is called once per demand line fetch with whether it hit the
+	// L1-I; issue fills the given line speculatively at the current cycle,
+	// and is valid only during the call.
+	OnFetch(line isa.Addr, now Cycle, hit bool, issue func(line isa.Addr))
+}
+
+// PrefetcherConfig configures a hardware L1-I prefetcher. It is plain
+// data that any number of runs may share, concurrently too: each run
+// builds its own prefetcher from it with New.
+type PrefetcherConfig interface {
+	// Validate checks the configuration.
+	Validate() error
+	// New builds a prefetcher with no learned state from a configuration
+	// that Validate accepts.
+	New() InstrPrefetcher
+	// PrefetchFingerprint is the configuration's stable identity, which
+	// the machine's fingerprint hashes (core.Config.Fingerprint).
+	PrefetchFingerprint() string
 }
 
 // Load performs a demand data read.

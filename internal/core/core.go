@@ -19,7 +19,10 @@ import (
 	"frontsim/internal/trace"
 )
 
-// Config is the whole-machine configuration (the paper's Table I).
+// Config is the whole-machine configuration (the paper's Table I). It is
+// plain data that any number of runs may share, concurrently too: each
+// run builds its own machine from it, hardware prefetcher included. Obs
+// is the exception, a sink that observes one run.
 type Config struct {
 	Name     string
 	Frontend frontend.Config
@@ -479,9 +482,9 @@ func (s *Sim) snapshot() Stats {
 	}
 }
 
-// prefetcherStats reads the attached prefetcher's counters (PrefetchCounter).
+// prefetcherStats reads the run's prefetcher's counters (PrefetchCounter).
 func (s *Sim) prefetcherStats() *PrefetcherStats {
-	if pc, ok := s.cfg.Frontend.Prefetcher.(PrefetchCounter); ok {
+	if pc, ok := s.fe.Prefetcher().(PrefetchCounter); ok {
 		st := pc.PrefetchCounters()
 		return &st
 	}

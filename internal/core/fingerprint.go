@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"sort"
 
-	"frontsim/internal/frontend"
 	"frontsim/internal/isa"
 )
 
@@ -43,16 +42,6 @@ import (
 //	   canonical config form changed — and Stats gained the optional
 //	   Sampling estimate block, changing the cached value shape
 const FingerprintSchema = 6
-
-// PrefetchFingerprinter lets an attached hardware prefetcher contribute a
-// stable identity to Config.Fingerprint. Prefetchers are constructed fresh
-// per run, so the fingerprint must cover their configuration, not learned
-// state. Prefetchers that do not implement it hash as an opaque type name,
-// which is stable within a build but does not distinguish differently
-// configured instances — such configs must not be cached.
-type PrefetchFingerprinter interface {
-	PrefetchFingerprint() string
-}
 
 // PrefetchCounter lets an attached hardware prefetcher report counters of
 // its own, which the snapshot carries in Stats.Prefetcher.
@@ -93,10 +82,12 @@ func (c Config) Fingerprint() string {
 	shadow.Frontend.Prefetcher = nil
 	shadow.Triggers = nil
 	fp := configFingerprint{
-		Schema:     FingerprintSchema,
-		Config:     shadow,
-		Prefetcher: prefetcherFingerprint(c.Frontend.Prefetcher),
-		Triggers:   canonicalTriggers(c.Triggers),
+		Schema:   FingerprintSchema,
+		Config:   shadow,
+		Triggers: canonicalTriggers(c.Triggers),
+	}
+	if c.Frontend.Prefetcher != nil {
+		fp.Prefetcher = c.Frontend.Prefetcher.PrefetchFingerprint()
 	}
 	b, err := json.Marshal(fp)
 	if err != nil {
@@ -106,16 +97,6 @@ func (c Config) Fingerprint() string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-func prefetcherFingerprint(p frontend.InstrPrefetcher) string {
-	if p == nil {
-		return ""
-	}
-	if f, ok := p.(PrefetchFingerprinter); ok {
-		return f.PrefetchFingerprint()
-	}
-	return fmt.Sprintf("opaque:%T", p)
 }
 
 func canonicalTriggers(m map[isa.Addr][]isa.Addr) []triggerFingerprint {

@@ -14,12 +14,18 @@ import (
 
 // ipcCell renders a table IPC cell. Exact runs print the plain value;
 // sampled runs append the 95% confidence half-width on the IPC estimate,
-// so every ablation table carries its uncertainty when sampling is on.
+// so every ablation table carries its uncertainty when sampling is on. A
+// CPI interval that reaches zero leaves the IPC interval unbounded, which
+// the cell says in words.
 func ipcCell(st core.Stats) string {
-	if sp := st.Sampling; sp != nil {
-		return fmt.Sprintf("%.3f±%.3f", st.IPC(), sp.IPCCI95())
+	sp := st.Sampling
+	switch {
+	case sp == nil:
+		return fmt.Sprintf("%.3f", st.IPC())
+	case math.IsInf(sp.IPCCI95(), 1):
+		return fmt.Sprintf("%.3f±unbounded", st.IPC())
 	}
-	return fmt.Sprintf("%.3f", st.IPC())
+	return fmt.Sprintf("%.3f±%.3f", st.IPC(), sp.IPCCI95())
 }
 
 // speedupCell renders st's IPC normalized to base. For sampled runs the

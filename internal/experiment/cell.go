@@ -87,14 +87,10 @@ func newCell(spec workload.Spec, series string, machine core.Config, prog string
 // plan-derived series carry in their keys; base-program series ignore it.
 func resolveSeries(spec workload.Spec, id seriesID, p Params, plan planKey) (*Cell, error) {
 	row := seriesTable[id]
-	machine, err := row.machine()
-	if err != nil {
-		return nil, err
-	}
 	if row.program == progBase {
-		return newCell(spec, row.label, machine, progBase, nil, p)
+		return newCell(spec, row.label, row.machine, progBase, nil, p)
 	}
-	return newCell(spec, row.label, machine, row.program, &plan, p)
+	return newCell(spec, row.label, row.machine, row.program, &plan, p)
 }
 
 // SeriesCell resolves the (workload, series) cell under p; series is one
@@ -391,7 +387,9 @@ func runWaves(ctx context.Context, pool *runner.Pool, in *inputs, cells []*Cell,
 // through the same cache (and, to profile on a miss, the conservative
 // baseline), so a cold cell leaves behind the entries the suite path
 // would. On cancellation the returned error wraps ctx.Err(), and nothing
-// cancelled is cached.
+// cancelled is cached. A cell may run any number of times, concurrently
+// too: Run works on a copy, and the cell's machine is plain data from
+// which each run builds its own prefetcher.
 func (c *Cell) Run(ctx context.Context, pool *runner.Pool) (CellResult, error) {
 	cell, in := *c, &inputs{spec: c.spec}
 	res := CellResult{Fingerprint: c.Address()}

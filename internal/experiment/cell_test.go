@@ -208,9 +208,9 @@ func TestCancelledCellNeverCached(t *testing.T) {
 
 // TestSeriesCellResolveAllocs bounds what resolving one cell allocates.
 // A warm served request resolves a cell and simulates nothing, so a
-// machine whose constructor builds its learned tables would pay for them
-// on every request: the EIP and MANA prefetchers make their tables on the
-// first fetch instead.
+// machine that built a prefetcher's tables would pay for them on every
+// request. A machine's prefetcher is a configuration, and each run builds
+// its tables (frontend.New).
 func TestSeriesCellResolveAllocs(t *testing.T) {
 	const limit = 16 << 10
 	spec, ok := workload.Lookup("public_srv_60")

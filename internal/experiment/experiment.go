@@ -157,7 +157,7 @@ func (m *Matrix) Speedup(st core.Stats) float64 {
 // Budgets and run modes come from Params when a cell is resolved.
 type series struct {
 	label   string // names the series in cache keys, obs and progress
-	machine func() (core.Config, error)
+	machine core.Config
 	program string // progBase, progAsmdb or progTriggers
 	stats   func(*Matrix) *core.Stats
 }
@@ -166,16 +166,16 @@ type series struct {
 // are the mechanism registry (Mechanisms); the others run the AsmDB plan,
 // profiled on the conservative baseline, on one of the two FTQ shapes.
 var seriesTable = [...]series{
-	{"cons", consMachine, progBase, func(m *Matrix) *core.Stats { return &m.Cons }},
-	{"fdp24", fdpMachine, progBase, func(m *Matrix) *core.Stats { return &m.FDP }},
-	{"eip+fdp24", eipMachine, progBase, func(m *Matrix) *core.Stats { return &m.EIPFDP }},
-	{"asmdb+cons", consMachine, progAsmdb, func(m *Matrix) *core.Stats { return &m.AsmdbCons }},
-	{"asmdb-ideal+cons", consMachine, progTriggers, func(m *Matrix) *core.Stats { return &m.AsmdbConsIdeal }},
-	{"asmdb+fdp24", fdpMachine, progAsmdb, func(m *Matrix) *core.Stats { return &m.AsmdbFDP }},
-	{"asmdb-ideal+fdp24", fdpMachine, progTriggers, func(m *Matrix) *core.Stats { return &m.AsmdbFDPIdeal }},
-	{"mana+fdp24", manaMachine, progBase, func(m *Matrix) *core.Stats { return &m.MANAFDP }},
-	{"shadow+fdp24", shadowMachine, progBase, func(m *Matrix) *core.Stats { return &m.ShadowFDP }},
-	{"itlb+fdp24", itlbMachine, progBase, func(m *Matrix) *core.Stats { return &m.ITLBFDP }},
+	{"cons", core.ConservativeConfig(), progBase, func(m *Matrix) *core.Stats { return &m.Cons }},
+	{"fdp24", core.DefaultConfig(), progBase, func(m *Matrix) *core.Stats { return &m.FDP }},
+	{"eip+fdp24", prefetchMachine(hwpf.DefaultEIPConfig()), progBase, func(m *Matrix) *core.Stats { return &m.EIPFDP }},
+	{"asmdb+cons", core.ConservativeConfig(), progAsmdb, func(m *Matrix) *core.Stats { return &m.AsmdbCons }},
+	{"asmdb-ideal+cons", core.ConservativeConfig(), progTriggers, func(m *Matrix) *core.Stats { return &m.AsmdbConsIdeal }},
+	{"asmdb+fdp24", core.DefaultConfig(), progAsmdb, func(m *Matrix) *core.Stats { return &m.AsmdbFDP }},
+	{"asmdb-ideal+fdp24", core.DefaultConfig(), progTriggers, func(m *Matrix) *core.Stats { return &m.AsmdbFDPIdeal }},
+	{"mana+fdp24", prefetchMachine(hwpf.DefaultMANAConfig()), progBase, func(m *Matrix) *core.Stats { return &m.MANAFDP }},
+	{"shadow+fdp24", shadowMachine(), progBase, func(m *Matrix) *core.Stats { return &m.ShadowFDP }},
+	{"itlb+fdp24", itlbMachine(), progBase, func(m *Matrix) *core.Stats { return &m.ITLBFDP }},
 }
 
 // seriesID indexes seriesTable.
@@ -188,46 +188,26 @@ const (
 
 func (m *Matrix) seriesPtr(id seriesID) *core.Stats { return seriesTable[id].stats(m) }
 
-func consMachine() (core.Config, error) { return core.ConservativeConfig(), nil }
-
-func fdpMachine() (core.Config, error) { return core.DefaultConfig(), nil }
-
-// eipMachine layers the EIP hardware prefetcher on the FDP front-end.
-func eipMachine() (core.Config, error) {
+// prefetchMachine layers the hardware prefetcher pf on the FDP front-end.
+func prefetchMachine(pf cache.PrefetcherConfig) core.Config {
 	c := core.DefaultConfig()
-	eip, err := hwpf.NewEIP(hwpf.DefaultEIPConfig())
-	if err != nil {
-		return c, err
-	}
-	c.Frontend.Prefetcher = eip
-	return c, nil
-}
-
-// manaMachine layers the MANA spatial-region prefetcher on the FDP
-// front-end.
-func manaMachine() (core.Config, error) {
-	c := core.DefaultConfig()
-	mana, err := hwpf.NewMANA(hwpf.DefaultMANAConfig())
-	if err != nil {
-		return c, err
-	}
-	c.Frontend.Prefetcher = mana
-	return c, nil
+	c.Frontend.Prefetcher = pf
+	return c
 }
 
 // shadowMachine enables shadow-branch decoding on the FDP front-end.
-func shadowMachine() (core.Config, error) {
+func shadowMachine() core.Config {
 	c := core.DefaultConfig()
 	c.Frontend.Shadow = bpu.DefaultShadowConfig()
-	return c, nil
+	return c
 }
 
 // itlbMachine enables the I-TLB model (with prefetch dropping) on the FDP
 // front-end.
-func itlbMachine() (core.Config, error) {
+func itlbMachine() core.Config {
 	c := core.DefaultConfig()
 	c.Memory.ITLB = cache.DefaultITLBConfig()
-	return c, nil
+	return c
 }
 
 // cacheSchema versions the run-cache key layout. Bump together with

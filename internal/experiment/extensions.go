@@ -84,10 +84,10 @@ func planDerived(ctx context.Context, pool *runner.Pool, spec workload.Spec, p P
 // (the matrix's fdp24 and asmdb+fdp24 cells) on the industry front-end.
 func ExtensionPreload(specs []workload.Spec, p Params) (*stats.Table, error) {
 	rows, err := extension(specs, p, func(ctx context.Context, pool *runner.Pool, spec workload.Spec, p Params) ([]string, error) {
-		var loader *preload.Preloader
+		var store *preload.Store
 		row, pre, err := planDerived(ctx, pool, spec, p, "asmdb+fdp24", "preload+fdp24", func(c *core.Config, plan *asmdb.Plan) (err error) {
-			loader, err = preload.New(preload.DefaultConfig(), plan)
-			c.Frontend.Prefetcher = loader
+			store, err = preload.Compile(preload.DefaultConfig(), plan)
+			c.Frontend.Prefetcher = store
 			return err
 		})
 		if err != nil {
@@ -97,7 +97,7 @@ func ExtensionPreload(specs []workload.Spec, p Params) (*stats.Table, error) {
 		if ls := pre.Prefetcher; ls != nil && ls.Lookups > 0 {
 			missPct = 100 * float64(ls.MetadataMisses) / float64(ls.Lookups)
 		}
-		return append(row, fmt.Sprintf("%.2f", missPct), fmt.Sprint(loader.StoreEntries())), nil
+		return append(row, fmt.Sprintf("%.2f", missPct), fmt.Sprint(store.Entries())), nil
 	})
 	t := stats.NewTable(
 		"Extension X1: metadata preloading on FDP-24 (IPC speedup over FDP-24)",

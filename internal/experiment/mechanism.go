@@ -11,16 +11,13 @@ import (
 // Mechanism is one row of the cross-prefetcher characterization matrix: a
 // named front-end configuration whose prefetch mechanism (or absence of
 // one) the conformance harness and the mechanism ablation both iterate.
-// Config must be pure — it is called once per cell on arbitrary workers —
-// and must return a fully distinct core.Config per call (prefetcher
-// instances carry learned state, so sharing one across runs would leak it).
 type Mechanism struct {
 	// Label names the mechanism in tables, cache-series labels and test
 	// output. It matches the matrix series label.
 	Label string
-	// Config builds the mechanism's machine configuration, stamped with
+	// Config returns the mechanism's machine configuration, stamped with
 	// p's budgets and run modes.
-	Config func(p Params) (core.Config, error)
+	Config func(p Params) core.Config
 }
 
 // Mechanisms returns the characterization-matrix registry: the base-program
@@ -34,10 +31,7 @@ func Mechanisms() []Mechanism {
 		if row.program != progBase {
 			continue
 		}
-		out = append(out, Mechanism{Label: row.label, Config: func(p Params) (core.Config, error) {
-			c, err := row.machine()
-			return p.stamp(c), err
-		}})
+		out = append(out, Mechanism{Label: row.label, Config: func(p Params) core.Config { return p.stamp(row.machine) }})
 	}
 	return out
 }
@@ -50,23 +44,7 @@ func Mechanisms() []Mechanism {
 // stalling head ready either), as shares of measured cycles.
 func AblationMechanism(specs []workload.Spec, p Params) (*stats.Table, error) {
 	mechs := Mechanisms()
-	// Pre-validate every constructor once so sweep's pure mkCfg cannot
-	// fail: a mechanism whose prefetcher rejects its default config is a
-	// programming error surfaced here, not mid-sweep.
-	for _, m := range mechs {
-		if _, err := m.Config(p); err != nil {
-			return nil, fmt.Errorf("mechanism %s: %w", m.Label, err)
-		}
-	}
-	res, err := sweep(specs, len(mechs), p, func(spec workload.Spec, ci int) core.Config {
-		c, err := mechs[ci].Config(p)
-		if err != nil {
-			// Unreachable: the constructor succeeded during pre-validation
-			// and takes no per-spec input.
-			panic(fmt.Sprintf("experiment: mechanism %s: %v", mechs[ci].Label, err))
-		}
-		return c
-	})
+	res, err := sweep(specs, len(mechs), p, func(_ workload.Spec, ci int) core.Config { return mechs[ci].Config(p) })
 	if err != nil {
 		return nil, err
 	}

@@ -103,8 +103,8 @@ var confRows = []confRow{
 		return newCell(spec, label, core.DefaultConfig(), progAsmdb, &key, p)
 	}},
 	planRow("preload+fdp24", 7, func(c *core.Config, plan *asmdb.Plan) error {
-		loader, err := preload.New(preload.DefaultConfig(), plan)
-		c.Frontend.Prefetcher = loader
+		store, err := preload.Compile(preload.DefaultConfig(), plan)
+		c.Frontend.Prefetcher = store
 		return err
 	}),
 	planRow("ispy+fdp24", 1, func(c *core.Config, plan *asmdb.Plan) error {

@@ -11,6 +11,7 @@ import (
 
 	"frontsim/internal/core"
 	"frontsim/internal/runner"
+	"frontsim/internal/stats"
 	"frontsim/internal/workload"
 )
 
@@ -120,6 +121,15 @@ func TestSamplingTableCI(t *testing.T) {
 		if sampled.String() != exact.String() {
 			t.Errorf("%s: sampled table differs from exact:\n%s\n%s", ext.name, sampled, exact)
 		}
+	}
+	// Two windows put the t-quantile at 12.7, so the CPI interval of two
+	// distinct samples crosses zero and the IPC interval has no upper end.
+	var cpi stats.Estimate
+	cpi.Add(1)
+	cpi.Add(4)
+	st := core.Stats{Cycles: 5, Instructions: 2, Sampling: &core.SamplingStats{Windows: 2, CPI: cpi}}
+	if got, want := ipcCell(st), "0.400±unbounded"; got != want {
+		t.Errorf("unbounded IPC interval renders as %q, want %q", got, want)
 	}
 }
 

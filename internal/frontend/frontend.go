@@ -48,9 +48,10 @@ type Config struct {
 	PredecodeDelay cache.Cycle
 	// BPU configures the branch prediction structures.
 	BPU bpu.Config
-	// Prefetcher optionally attaches a hardware L1-I prefetcher observing
-	// demand fetches (e.g. next-line or an entangling prefetcher).
-	Prefetcher InstrPrefetcher
+	// Prefetcher optionally configures a hardware L1-I prefetcher observing
+	// demand fetches (e.g. next-line or an entangling prefetcher); New
+	// builds the run's own prefetcher from it.
+	Prefetcher cache.PrefetcherConfig
 	// Shadow enables shadow-branch decoding: every fetched line's
 	// decodable branches (learned on first execution, standing in for raw
 	// byte decode in this trace-driven model) pre-fill BTB entries that
@@ -68,15 +69,6 @@ type Config struct {
 	// speculatively. They pollute the L1-I and consume bandwidth but act
 	// as incidental next-line prefetching — quantified by ablation A6.
 	WrongPathDepth int
-}
-
-// InstrPrefetcher observes demand L1-I line fetches and may issue
-// speculative fills through the provided callback.
-type InstrPrefetcher interface {
-	// OnFetch is called once per demand line fetch with whether it hit the
-	// L1-I; issue fills the given line speculatively at the current cycle,
-	// and is valid only during the call.
-	OnFetch(line isa.Addr, now cache.Cycle, hit bool, issue func(line isa.Addr))
 }
 
 // DefaultConfig returns the industry-standard front-end (24-entry FTQ with
@@ -126,6 +118,11 @@ func (c Config) Validate() error {
 	}
 	if err := c.Shadow.Validate(); err != nil {
 		return err
+	}
+	if c.Prefetcher != nil {
+		if err := c.Prefetcher.Validate(); err != nil {
+			return err
+		}
 	}
 	return c.BPU.Validate()
 }
@@ -200,9 +197,11 @@ type Frontend struct {
 
 	sink obs.Sink // nil when observation is off
 
-	// issue is the prefetcher's fill callback, bound once in New so the
+	// pf is the run's hardware prefetcher, built from cfg.Prefetcher (nil
+	// without one). issue is its fill callback, bound once in New so the
 	// fetch loop allocates no closure; it fills at issueAt, the cycle of
 	// the fetch that is calling the prefetcher.
+	pf      cache.InstrPrefetcher
 	issue   func(isa.Addr)
 	issueAt cache.Cycle
 
@@ -235,6 +234,9 @@ func New(cfg Config, src trace.Source, mem *cache.Hierarchy, triggers map[isa.Ad
 	}
 	f.bsrc, _ = trace.AsBlockSource(src)
 	f.issue = func(l isa.Addr) { f.mem.PrefetchInstr(l, f.issueAt) }
+	if cfg.Prefetcher != nil {
+		f.pf = cfg.Prefetcher.New()
+	}
 	if cfg.Shadow.Enabled() {
 		if f.sd, err = bpu.NewShadowDecoder(cfg.Shadow); err != nil {
 			return nil, err
@@ -267,6 +269,9 @@ func (f *Frontend) BPU() *bpu.BPU { return f.bp }
 
 // ShadowDecoder exposes the shadow-branch decoder (nil when disabled).
 func (f *Frontend) ShadowDecoder() *bpu.ShadowDecoder { return f.sd }
+
+// Prefetcher exposes the run's hardware prefetcher (nil without one).
+func (f *Frontend) Prefetcher() cache.InstrPrefetcher { return f.pf }
 
 // SetObserver attaches an observability sink to the front-end and its FTQ
 // (nil detaches). Observation is strictly read-only.
@@ -447,10 +452,10 @@ func (f *Frontend) fetchLine(line isa.Addr, now cache.Cycle) cache.Cycle {
 			f.bp.ShadowInstall(sb)
 		}
 	}
-	if f.cfg.Prefetcher != nil {
+	if f.pf != nil {
 		hit := ready-now <= f.mem.L1I.Config().HitLatency
 		f.issueAt = now
-		f.cfg.Prefetcher.OnFetch(line, now, hit, f.issue)
+		f.pf.OnFetch(line, now, hit, f.issue)
 	}
 	return ready
 }

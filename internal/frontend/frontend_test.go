@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"errors"
 	"testing"
 
 	"frontsim/internal/cache"
@@ -69,6 +70,11 @@ func TestConfigValidate(t *testing.T) {
 	bad.PFCDelay = -1
 	if err := bad.Validate(); err == nil {
 		t.Fatal("accepted negative latency")
+	}
+	bad = DefaultConfig()
+	bad.Prefetcher = testPrefetcher{err: errors.New("bad prefetcher")}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("accepted an invalid prefetcher configuration")
 	}
 }
 
@@ -268,6 +274,17 @@ func TestResetStatsKeepsState(t *testing.T) {
 	}
 }
 
+// testPrefetcher is a prefetcher configuration whose New calls build;
+// Validate returns err.
+type testPrefetcher struct {
+	build func() cache.InstrPrefetcher
+	err   error
+}
+
+func (c testPrefetcher) Validate() error             { return c.err }
+func (c testPrefetcher) New() cache.InstrPrefetcher  { return c.build() }
+func (c testPrefetcher) PrefetchFingerprint() string { return "test" }
+
 // countingPrefetcher records OnFetch calls and prefetches the next line.
 type countingPrefetcher struct {
 	fetches int
@@ -286,11 +303,11 @@ func (p *countingPrefetcher) OnFetch(line isa.Addr, now cache.Cycle, hit bool, i
 
 func TestHardwarePrefetcherHook(t *testing.T) {
 	cfg := DefaultConfig()
-	pf := &countingPrefetcher{}
-	cfg.Prefetcher = pf
+	cfg.Prefetcher = testPrefetcher{build: func() cache.InstrPrefetcher { return &countingPrefetcher{} }}
 	instrs := seqStream(0x400000, 48) // 3 lines
 	fe, h := newFE(t, cfg, instrs, nil)
 	drain(fe, 2000)
+	pf := fe.Prefetcher().(*countingPrefetcher)
 	if pf.fetches != 3 {
 		t.Fatalf("prefetcher saw %d fetches, want 3 lines", pf.fetches)
 	}

@@ -13,9 +13,6 @@ import (
 // fill loop (and its stall accounting) is suspended.
 func (f *Frontend) SetFill(enabled bool) { f.fillGated = !enabled }
 
-// FillEnabled reports whether the fill engine is running (see SetFill).
-func (f *Frontend) FillEnabled() bool { return !f.fillGated }
-
 // WarmFunctional consumes up to n program (non-prefetch) instructions from
 // the true-path source with no cycle accounting at all — the functional
 // phase of SMARTS-style sampled simulation. Content state stays warm:
@@ -149,7 +146,7 @@ type warmPipeline struct {
 	dead bool          // the caller has already received the worker's panic
 
 	mem   *cache.Hierarchy
-	pf    InstrPrefetcher
+	pf    cache.InstrPrefetcher
 	issue func(isa.Addr) // the prefetcher's fill callback, bound once
 }
 
@@ -162,7 +159,7 @@ func (f *Frontend) warmPipe() *warmPipeline {
 		free:  make(chan []uint64, warmChunks),
 		done:  make(chan any, 1),
 		mem:   f.mem,
-		pf:    f.cfg.Prefetcher,
+		pf:    f.pf,
 		issue: f.mem.WarmPrefetchInstr,
 	}
 	for i := 0; i < warmChunks; i++ {

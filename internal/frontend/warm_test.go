@@ -74,7 +74,7 @@ func (s *panicSource) Next() (isa.Instr, error) {
 func TestWarmFunctionalPanicJoinsWorker(t *testing.T) {
 	boom := &struct{ msg string }{"stage failed"}
 	prefetcherPanics := DefaultConfig()
-	prefetcherPanics.Prefetcher = &panicAfter{n: 20_000, val: boom}
+	prefetcherPanics.Prefetcher = testPrefetcher{build: func() cache.InstrPrefetcher { return &panicAfter{n: 20_000, val: boom} }}
 	for _, c := range []struct {
 		stage string
 		fe    *Frontend
@@ -142,8 +142,8 @@ func serialWarm(f *Frontend, n int64, now cache.Cycle) int64 {
 						f.bp.ShadowInstall(sb)
 					}
 				}
-				if f.cfg.Prefetcher != nil {
-					f.cfg.Prefetcher.OnFetch(line, now, hit, f.mem.WarmPrefetchInstr)
+				if f.pf != nil {
+					f.pf.OnFetch(line, now, hit, f.mem.WarmPrefetchInstr)
 				}
 			}
 			switch {
@@ -224,19 +224,15 @@ func TestWarmFunctionalMatchesSerialWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eip, err := hwpf.NewEIP(hwpf.DefaultEIPConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := DefaultConfig()
-		cfg.Prefetcher = eip
+		cfg.Prefetcher = hwpf.DefaultEIPConfig()
 		cfg.Shadow = bpu.DefaultShadowConfig()
 		src := &sprinkledSource{src: program.NewExecutor(prog, spec.Seed)}
 		fe, err := New(cfg, src, h, triggers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fe, h, eip
+		return fe, h, fe.Prefetcher().(*hwpf.EIP)
 	}
 	fa, ha, pa := twin()
 	fb, hb, pb := twin()

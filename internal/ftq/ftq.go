@@ -336,16 +336,6 @@ func (q *FTQ) Head() *Entry {
 	return q.at(0)
 }
 
-// EntryAt returns the i-th resident entry (0 = head), or nil when out of
-// range. The pointer is valid until the entry is dequeued; intended for
-// inspection and visualization.
-func (q *FTQ) EntryAt(i int) *Entry {
-	if i < 0 || i >= q.size {
-		return nil
-	}
-	return q.at(i)
-}
-
 // Push appends a basic block (1..MaxBlockInstrs instructions, contiguous
 // PCs) and immediately issues any line fetches not already covered by a
 // resident entry. It returns the entry's fetch-ready cycle and ok=false

@@ -1,8 +1,11 @@
 // Package hwpf implements hardware L1-I prefetchers used as comparators in
-// the paper's Figure 1: a simple next-line prefetcher and an EIP-style
-// entangling prefetcher ("EIP" is the entangling instruction prefetcher
-// series shown alongside FDP in the figure). Both observe demand fetches
-// through the frontend.InstrPrefetcher hook.
+// the paper's Figure 1 and the mechanism matrix: a simple next-line
+// prefetcher, an EIP-style entangling prefetcher ("EIP" is the entangling
+// instruction prefetcher series shown alongside FDP in the figure) and a
+// MANA-style spatial-region prefetcher. Each configuration type
+// (NextLineConfig, EIPConfig, MANAConfig) is a cache.PrefetcherConfig: a
+// machine configuration carries it as plain data, and every run builds its
+// own prefetcher from it, which observes that run's demand fetches.
 package hwpf
 
 import (
@@ -12,32 +15,44 @@ import (
 	"frontsim/internal/isa"
 )
 
-// NextLine prefetches the next Degree sequential lines after every demand
-// fetch. Sequential instruction streams make this surprisingly effective
-// (Smith, 1978), and it is the classic low-cost baseline.
-type NextLine struct {
+// NextLineConfig configures the next-line prefetcher.
+type NextLineConfig struct {
 	// Degree is how many successor lines to prefetch.
 	Degree int
 	// OnMissOnly restricts prefetching to demand misses.
 	OnMissOnly bool
+}
 
+// Validate checks the configuration.
+func (c NextLineConfig) Validate() error {
+	if c.Degree <= 0 {
+		return fmt.Errorf("hwpf: next-line degree %d must be positive", c.Degree)
+	}
+	return nil
+}
+
+// New builds a next-line prefetcher.
+func (c NextLineConfig) New() cache.InstrPrefetcher { return &NextLine{cfg: c} }
+
+// PrefetchFingerprint implements cache.PrefetcherConfig.
+func (c NextLineConfig) PrefetchFingerprint() string {
+	return fmt.Sprintf("hwpf.NextLine{Degree:%d,OnMissOnly:%v}", c.Degree, c.OnMissOnly)
+}
+
+// NextLine prefetches the next Degree sequential lines after every demand
+// fetch. Sequential instruction streams make this surprisingly effective
+// (Smith, 1978), and it is the classic low-cost baseline.
+type NextLine struct {
+	cfg    NextLineConfig
 	issued int64
 }
 
-// NewNextLine builds a next-line prefetcher of the given degree.
-func NewNextLine(degree int) *NextLine {
-	if degree <= 0 {
-		panic("hwpf: non-positive next-line degree")
-	}
-	return &NextLine{Degree: degree}
-}
-
-// OnFetch implements frontend.InstrPrefetcher.
+// OnFetch implements cache.InstrPrefetcher.
 func (p *NextLine) OnFetch(line isa.Addr, now cache.Cycle, hit bool, issue func(isa.Addr)) {
-	if p.OnMissOnly && hit {
+	if p.cfg.OnMissOnly && hit {
 		return
 	}
-	for i := 1; i <= p.Degree; i++ {
+	for i := 1; i <= p.cfg.Degree; i++ {
 		issue(line + isa.Addr(i*isa.LineSize))
 		p.issued++
 	}
@@ -87,7 +102,6 @@ type eipEntry struct {
 type EIP struct {
 	cfg     EIPConfig
 	table   []eipEntry
-	dsts    []isa.Addr // backs every entry's dsts
 	history []isa.Addr // ring of recent fetched lines
 	hpos    int
 	hlen    int
@@ -96,25 +110,30 @@ type EIP struct {
 	entangled int64
 }
 
-// NewEIP builds the prefetcher.
-func NewEIP(cfg EIPConfig) (*EIP, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// New builds an entangling prefetcher. Every entry's destination list is a
+// full-capacity window of one array, so training appends without
+// allocating.
+func (c EIPConfig) New() cache.InstrPrefetcher {
+	p := &EIP{cfg: c, table: make([]eipEntry, c.TableEntries), history: make([]isa.Addr, c.HistoryDepth)}
+	dsts := make([]isa.Addr, c.TableEntries*c.MaxEntangled)
+	for i := range p.table {
+		p.table[i].dsts = dsts[i*c.MaxEntangled : i*c.MaxEntangled : (i+1)*c.MaxEntangled]
 	}
-	return &EIP{cfg: cfg, history: make([]isa.Addr, cfg.HistoryDepth)}, nil
+	return p
+}
+
+// PrefetchFingerprint implements cache.PrefetcherConfig.
+func (c EIPConfig) PrefetchFingerprint() string {
+	return fmt.Sprintf("hwpf.EIP{TableEntries:%d,MaxEntangled:%d,HistoryDepth:%d}",
+		c.TableEntries, c.MaxEntangled, c.HistoryDepth)
 }
 
 func (p *EIP) slot(line isa.Addr) *eipEntry {
 	return &p.table[line.LineIndex()&uint64(p.cfg.TableEntries-1)]
 }
 
-// OnFetch implements frontend.InstrPrefetcher.
+// OnFetch implements cache.InstrPrefetcher.
 func (p *EIP) OnFetch(line isa.Addr, now cache.Cycle, hit bool, issue func(isa.Addr)) {
-	if p.table == nil {
-		// Made on the first fetch, like the entangled lists below, so a
-		// prefetcher built only to fingerprint a cell holds no table.
-		p.table = make([]eipEntry, p.cfg.TableEntries)
-	}
 	line = line.Line()
 	// Replay: if this line is a known source, prefetch its entangled
 	// destinations.
@@ -130,17 +149,6 @@ func (p *EIP) OnFetch(line isa.Addr, now cache.Cycle, hit bool, issue func(isa.A
 		src := p.history[(p.hpos-p.hlen+len(p.history))%len(p.history)]
 		if src != line {
 			e := p.slot(src)
-			if e.dsts == nil {
-				// Every entry's destination list is a full-capacity window
-				// of one array, made on the first training, so training
-				// appends without allocating and a prefetcher built only
-				// to fingerprint a cell holds no lists.
-				if p.dsts == nil {
-					p.dsts = make([]isa.Addr, p.cfg.TableEntries*p.cfg.MaxEntangled)
-				}
-				i := int(src.LineIndex()&uint64(p.cfg.TableEntries-1)) * p.cfg.MaxEntangled
-				e.dsts = p.dsts[i : i : i+p.cfg.MaxEntangled]
-			}
 			if !e.valid || e.src != src {
 				*e = eipEntry{src: src, valid: true, dsts: e.dsts[:0]}
 			}
@@ -175,18 +183,4 @@ func containsAddr(xs []isa.Addr, a isa.Addr) bool {
 		}
 	}
 	return false
-}
-
-// PrefetchFingerprint implements core.PrefetchFingerprinter: the stable
-// identity of a freshly constructed next-line prefetcher is its static
-// configuration (learned state is per-run and excluded by design).
-func (p *NextLine) PrefetchFingerprint() string {
-	return fmt.Sprintf("hwpf.NextLine{Degree:%d,OnMissOnly:%v}", p.Degree, p.OnMissOnly)
-}
-
-// PrefetchFingerprint implements core.PrefetchFingerprinter for EIP; as
-// with NextLine, only the static configuration identifies the run.
-func (p *EIP) PrefetchFingerprint() string {
-	return fmt.Sprintf("hwpf.EIP{TableEntries:%d,MaxEntangled:%d,HistoryDepth:%d}",
-		p.cfg.TableEntries, p.cfg.MaxEntangled, p.cfg.HistoryDepth)
 }

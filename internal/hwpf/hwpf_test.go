@@ -3,8 +3,18 @@ package hwpf
 import (
 	"testing"
 
+	"frontsim/internal/cache"
 	"frontsim/internal/isa"
 )
+
+// build validates c and builds its prefetcher.
+func build[P cache.InstrPrefetcher](t *testing.T, c cache.PrefetcherConfig) P {
+	t.Helper()
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return c.New().(P)
+}
 
 type issueRecorder struct {
 	lines []isa.Addr
@@ -13,7 +23,7 @@ type issueRecorder struct {
 func (r *issueRecorder) issue(l isa.Addr) { r.lines = append(r.lines, l) }
 
 func TestNextLineDegree(t *testing.T) {
-	p := NewNextLine(3)
+	p := build[*NextLine](t, NextLineConfig{Degree: 3})
 	rec := &issueRecorder{}
 	p.OnFetch(0x1000, 0, false, rec.issue)
 	if len(rec.lines) != 3 {
@@ -31,8 +41,7 @@ func TestNextLineDegree(t *testing.T) {
 }
 
 func TestNextLineOnMissOnly(t *testing.T) {
-	p := NewNextLine(1)
-	p.OnMissOnly = true
+	p := build[*NextLine](t, NextLineConfig{Degree: 1, OnMissOnly: true})
 	rec := &issueRecorder{}
 	p.OnFetch(0x1000, 0, true, rec.issue)
 	if len(rec.lines) != 0 {
@@ -44,13 +53,15 @@ func TestNextLineOnMissOnly(t *testing.T) {
 	}
 }
 
-func TestNewNextLinePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
+func TestNextLineConfigValidate(t *testing.T) {
+	if err := (NextLineConfig{Degree: 1}).Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, degree := range []int{0, -1} {
+		if err := (NextLineConfig{Degree: degree}).Validate(); err == nil {
+			t.Errorf("degree %d accepted", degree)
 		}
-	}()
-	NewNextLine(0)
+	}
 }
 
 func TestEIPConfigValidate(t *testing.T) {
@@ -71,10 +82,7 @@ func TestEIPConfigValidate(t *testing.T) {
 }
 
 func TestEIPLearnsAndReplays(t *testing.T) {
-	p, err := NewEIP(EIPConfig{TableEntries: 64, MaxEntangled: 2, HistoryDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := build[*EIP](t, EIPConfig{TableEntries: 64, MaxEntangled: 2, HistoryDepth: 2})
 	rec := &issueRecorder{}
 	// Sequence: src fetched (hit), filler, then dst misses. dst entangles
 	// with the oldest history entry = src.
@@ -96,7 +104,7 @@ func TestEIPLearnsAndReplays(t *testing.T) {
 }
 
 func TestEIPMaxEntangledEvictsOldest(t *testing.T) {
-	p, _ := NewEIP(EIPConfig{TableEntries: 64, MaxEntangled: 2, HistoryDepth: 1})
+	p := build[*EIP](t, EIPConfig{TableEntries: 64, MaxEntangled: 2, HistoryDepth: 1})
 	rec := &issueRecorder{}
 	// With HistoryDepth=1 the entangle source is always the previous
 	// fetch.
@@ -119,7 +127,7 @@ func TestEIPMaxEntangledEvictsOldest(t *testing.T) {
 }
 
 func TestEIPNoSelfEntangle(t *testing.T) {
-	p, _ := NewEIP(EIPConfig{TableEntries: 64, MaxEntangled: 2, HistoryDepth: 1})
+	p := build[*EIP](t, EIPConfig{TableEntries: 64, MaxEntangled: 2, HistoryDepth: 1})
 	rec := &issueRecorder{}
 	p.OnFetch(0x1000, 0, false, rec.issue)
 	p.OnFetch(0x1000, 1, false, rec.issue) // would self-entangle
@@ -129,7 +137,7 @@ func TestEIPNoSelfEntangle(t *testing.T) {
 }
 
 func TestEIPDedupDestinations(t *testing.T) {
-	p, _ := NewEIP(EIPConfig{TableEntries: 64, MaxEntangled: 4, HistoryDepth: 1})
+	p := build[*EIP](t, EIPConfig{TableEntries: 64, MaxEntangled: 4, HistoryDepth: 1})
 	rec := &issueRecorder{}
 	for i := 0; i < 3; i++ {
 		p.OnFetch(0x1000, 0, true, rec.issue)

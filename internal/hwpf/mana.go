@@ -68,12 +68,15 @@ type MANA struct {
 	records int64
 }
 
-// NewMANA builds the prefetcher.
-func NewMANA(cfg MANAConfig) (*MANA, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &MANA{cfg: cfg}, nil
+// New builds a spatial-region prefetcher.
+func (c MANAConfig) New() cache.InstrPrefetcher {
+	return &MANA{cfg: c, table: make([]manaRecord, c.RecordEntries)}
+}
+
+// PrefetchFingerprint implements cache.PrefetcherConfig.
+func (c MANAConfig) PrefetchFingerprint() string {
+	return fmt.Sprintf("hwpf.MANA{RecordEntries:%d,RegionLines:%d,MaxIssue:%d}",
+		c.RecordEntries, c.RegionLines, c.MaxIssue)
 }
 
 // region decomposes a line address into its region base and line offset.
@@ -88,13 +91,8 @@ func (p *MANA) slot(base isa.Addr) *manaRecord {
 	return &p.table[(base.LineIndex()/uint64(p.cfg.RegionLines))&uint64(p.cfg.RecordEntries-1)]
 }
 
-// OnFetch implements frontend.InstrPrefetcher.
+// OnFetch implements cache.InstrPrefetcher.
 func (p *MANA) OnFetch(line isa.Addr, now cache.Cycle, hit bool, issue func(isa.Addr)) {
-	if p.table == nil {
-		// Made on the first fetch, so a prefetcher built only to
-		// fingerprint a cell holds no table.
-		p.table = make([]manaRecord, p.cfg.RecordEntries)
-	}
 	line = line.Line()
 	base, off := p.region(line)
 	// Replay: walk the region's bit-vector starting one line past the
@@ -135,11 +133,3 @@ func (p *MANA) Trained() int64 { return p.trained }
 // Records returns the number of record allocations (including conflict
 // re-allocations).
 func (p *MANA) Records() int64 { return p.records }
-
-// PrefetchFingerprint implements core.PrefetchFingerprinter: as with the
-// other hardware prefetchers, only the static configuration identifies the
-// run — learned records are per-run state.
-func (p *MANA) PrefetchFingerprint() string {
-	return fmt.Sprintf("hwpf.MANA{RecordEntries:%d,RegionLines:%d,MaxIssue:%d}",
-		p.cfg.RecordEntries, p.cfg.RegionLines, p.cfg.MaxIssue)
-}

@@ -29,12 +29,8 @@ func TestMANAValidate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.cfg.Validate()
-			if (err == nil) != tc.ok {
+			if err := tc.cfg.Validate(); (err == nil) != tc.ok {
 				t.Fatalf("Validate() = %v, want ok=%v", err, tc.ok)
-			}
-			if _, err := NewMANA(tc.cfg); (err == nil) != tc.ok {
-				t.Fatalf("NewMANA() error = %v, want ok=%v", err, tc.ok)
 			}
 		})
 	}
@@ -44,10 +40,7 @@ func TestMANAValidate(t *testing.T) {
 // line past the trigger and wraps around the region boundary, so the lines
 // most likely to be fetched next issue first.
 func TestMANAReplayWrapOrder(t *testing.T) {
-	p, err := NewMANA(MANAConfig{RecordEntries: 16, RegionLines: 8, MaxIssue: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := build[*MANA](t, MANAConfig{RecordEntries: 16, RegionLines: 8, MaxIssue: 8})
 	base := isa.Addr(0x10000)
 	// Train lines 0, 1, 6, 7 of the region via demand misses. Later misses
 	// land in the already-allocated record and replay the earlier bits;
@@ -75,10 +68,7 @@ func TestMANAReplayWrapOrder(t *testing.T) {
 
 // TestMANAMaxIssueCap pins the per-fetch issue budget.
 func TestMANAMaxIssueCap(t *testing.T) {
-	p, err := NewMANA(MANAConfig{RecordEntries: 16, RegionLines: 8, MaxIssue: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := build[*MANA](t, MANAConfig{RecordEntries: 16, RegionLines: 8, MaxIssue: 2})
 	base := isa.Addr(0x4000)
 	for n := 0; n < 8; n++ {
 		p.OnFetch(manaLine(base, n), 0, false, func(isa.Addr) {})
@@ -102,10 +92,7 @@ func TestMANAMaxIssueCap(t *testing.T) {
 // bit-vectors across regions.
 func TestMANAConflictReset(t *testing.T) {
 	cfg := MANAConfig{RecordEntries: 4, RegionLines: 8, MaxIssue: 8}
-	p, err := NewMANA(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := build[*MANA](t, cfg)
 	regionBytes := isa.Addr(cfg.RegionLines * isa.LineSize)
 	baseA := isa.Addr(0)
 	// baseB maps to the same slot: RecordEntries regions ahead.
@@ -133,10 +120,7 @@ func TestMANAConflictReset(t *testing.T) {
 // TestMANATrainDedupe pins that re-missing a recorded line does not count
 // as new training.
 func TestMANATrainDedupe(t *testing.T) {
-	p, err := NewMANA(DefaultMANAConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := build[*MANA](t, DefaultMANAConfig())
 	line := isa.Addr(0x8000)
 	p.OnFetch(line, 0, false, func(isa.Addr) {})
 	p.OnFetch(line, 0, false, func(isa.Addr) {})
@@ -148,31 +132,15 @@ func TestMANATrainDedupe(t *testing.T) {
 	}
 }
 
-// TestMANAFingerprint pins the fingerprint contract: configuration reaches
-// it, learned state does not.
+// TestMANAFingerprint pins the fingerprint contract: the configuration
+// reaches it, whole.
 func TestMANAFingerprint(t *testing.T) {
-	a, err := NewMANA(DefaultMANAConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewMANA(DefaultMANAConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.PrefetchFingerprint() != b.PrefetchFingerprint() {
-		t.Fatal("identical configs fingerprint differently")
-	}
-	a.OnFetch(isa.Addr(0x1000), 0, false, func(isa.Addr) {})
-	if a.PrefetchFingerprint() != b.PrefetchFingerprint() {
-		t.Fatal("learned state leaked into the fingerprint")
-	}
 	small := DefaultMANAConfig()
 	small.RegionLines = 4
-	c, err := NewMANA(small)
-	if err != nil {
-		t.Fatal(err)
+	if DefaultMANAConfig().PrefetchFingerprint() != DefaultMANAConfig().PrefetchFingerprint() {
+		t.Fatal("identical configs fingerprint differently")
 	}
-	if a.PrefetchFingerprint() == c.PrefetchFingerprint() {
+	if DefaultMANAConfig().PrefetchFingerprint() == small.PrefetchFingerprint() {
 		t.Fatal("distinct configs share a fingerprint")
 	}
 }

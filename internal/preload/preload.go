@@ -7,9 +7,10 @@
 // every L1-I access; on a metadata miss, the entry is requested from the
 // LLC-side store with LLC-like latency and installs for future use.
 //
-// The prototype implements the frontend.InstrPrefetcher hook, so it drops
-// into any simulator configuration in place of (not alongside) the
-// inserted-instruction mechanism.
+// The compiled Store is a cache.PrefetcherConfig, so it drops into any
+// simulator configuration in place of (not alongside) the
+// inserted-instruction mechanism; each run builds its own Preloader from
+// it.
 package preload
 
 import (
@@ -59,52 +60,82 @@ type l1Entry struct {
 	targets []isa.Addr
 }
 
-// Preloader is the metadata-driven prefetch engine.
+// Store is the compiled prefetch metadata: the hierarchy's sizes and the
+// full LLC-side table, trigger line -> targets. Compile makes it and
+// nothing changes it after, so any number of runs may share it; each
+// builds its own Preloader from it (New).
+type Store struct {
+	cfg   Config
+	lines map[isa.Addr][]isa.Addr
+}
+
+// Compile builds the store from an AsmDB plan: each insertion's site block
+// maps to its target lines, keyed by the site's cache line (hardware
+// observes line-granular fetches).
+func Compile(cfg Config, plan *asmdb.Plan) (*Store, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	s := &Store{cfg: cfg, lines: make(map[isa.Addr][]isa.Addr)}
+	for _, ins := range plan.Insertions {
+		line := ins.Site.Line()
+		targets := s.lines[line]
+		targetLine := ins.Target.Line()
+		if len(targets) < cfg.MaxTargetsPerLine && !contains(targets, targetLine) {
+			s.lines[line] = append(targets, targetLine)
+		}
+	}
+	return s, nil
+}
+
+// Entries returns the number of trigger lines in the store (the binary's
+// metadata section size, in entries).
+func (s *Store) Entries() int { return len(s.lines) }
+
+// Validate implements cache.PrefetcherConfig.
+func (s *Store) Validate() error { return s.cfg.Validate() }
+
+// New builds a preloader over the store with an empty L1-side metadata
+// cache.
+func (s *Store) New() cache.InstrPrefetcher {
+	return &Preloader{store: s, l1: make([]l1Entry, s.cfg.L1Entries)}
+}
+
+// PrefetchFingerprint implements cache.PrefetcherConfig: the identity of
+// a preloader is its configuration plus the compiled metadata store
+// (site-sorted so map iteration order cannot leak into the hash).
+func (s *Store) PrefetchFingerprint() string {
+	h := sha256.New()
+	fmt.Fprintf(h, "preload.Config{L1Entries:%d,FillLatency:%d,MaxTargetsPerLine:%d}",
+		s.cfg.L1Entries, s.cfg.FillLatency, s.cfg.MaxTargetsPerLine)
+	sites := make([]isa.Addr, 0, len(s.lines))
+	for site := range s.lines {
+		sites = append(sites, site)
+	}
+	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+	for _, site := range sites {
+		fmt.Fprintf(h, ";%d:%v", site, s.lines[site])
+	}
+	return "preload:" + hex.EncodeToString(h.Sum(nil))
+}
+
+// Preloader is the metadata-driven prefetch engine of one run.
 type Preloader struct {
-	cfg Config
-	// store is the full LLC-side metadata table: trigger line -> targets.
-	store map[isa.Addr][]isa.Addr
+	store *Store
 	l1    []l1Entry
 
 	stats core.PrefetcherStats
 }
-
-// New builds a preloader whose store is compiled from an AsmDB plan: each
-// insertion's site block maps to its target lines, keyed by the site's
-// cache line (hardware observes line-granular fetches).
-func New(cfg Config, plan *asmdb.Plan) (*Preloader, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	p := &Preloader{
-		cfg:   cfg,
-		store: make(map[isa.Addr][]isa.Addr),
-		l1:    make([]l1Entry, cfg.L1Entries),
-	}
-	for _, ins := range plan.Insertions {
-		line := ins.Site.Line()
-		targets := p.store[line]
-		targetLine := ins.Target.Line()
-		if len(targets) < cfg.MaxTargetsPerLine && !contains(targets, targetLine) {
-			p.store[line] = append(targets, targetLine)
-		}
-	}
-	return p, nil
-}
-
-// StoreEntries returns the number of trigger lines in the metadata store
-// (the binary's metadata section size, in entries).
-func (p *Preloader) StoreEntries() int { return len(p.store) }
 
 // PrefetchCounters implements core.PrefetchCounter: a snapshot of the
 // preloader's counters.
 func (p *Preloader) PrefetchCounters() core.PrefetcherStats { return p.stats }
 
 func (p *Preloader) slot(line isa.Addr) *l1Entry {
-	return &p.l1[line.LineIndex()&uint64(p.cfg.L1Entries-1)]
+	return &p.l1[line.LineIndex()&uint64(p.store.cfg.L1Entries-1)]
 }
 
-// OnFetch implements frontend.InstrPrefetcher: every demand L1-I access
+// OnFetch implements cache.InstrPrefetcher: every demand L1-I access
 // checks the metadata hierarchy; hits issue the stored prefetches, misses
 // schedule a metadata fill.
 func (p *Preloader) OnFetch(line isa.Addr, now cache.Cycle, hit bool, issue func(isa.Addr)) {
@@ -123,14 +154,14 @@ func (p *Preloader) OnFetch(line isa.Addr, now cache.Cycle, hit bool, issue func
 		}
 		return
 	}
-	targets, ok := p.store[line]
+	targets, ok := p.store.lines[line]
 	if !ok {
 		return
 	}
 	// Metadata miss: request the entry from the LLC-side store; it becomes
 	// usable after the fill latency.
 	p.stats.MetadataMisses++
-	*e = l1Entry{line: line, valid: true, readyAt: now + p.cfg.FillLatency, targets: targets}
+	*e = l1Entry{line: line, valid: true, readyAt: now + p.store.cfg.FillLatency, targets: targets}
 }
 
 func contains(xs []isa.Addr, a isa.Addr) bool {
@@ -140,22 +171,4 @@ func contains(xs []isa.Addr, a isa.Addr) bool {
 		}
 	}
 	return false
-}
-
-// PrefetchFingerprint implements core.PrefetchFingerprinter: the identity
-// of a preloader is its configuration plus the compiled metadata store
-// (site-sorted so map iteration order cannot leak into the hash).
-func (p *Preloader) PrefetchFingerprint() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "preload.Config{L1Entries:%d,FillLatency:%d,MaxTargetsPerLine:%d}",
-		p.cfg.L1Entries, p.cfg.FillLatency, p.cfg.MaxTargetsPerLine)
-	sites := make([]isa.Addr, 0, len(p.store))
-	for site := range p.store {
-		sites = append(sites, site)
-	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-	for _, site := range sites {
-		fmt.Fprintf(h, ";%d:%v", site, p.store[site])
-	}
-	return "preload:" + hex.EncodeToString(h.Sum(nil))
 }

@@ -34,24 +34,32 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// preloader compiles plan under cfg and builds a run's preloader from the
+// store.
+func preloader(t *testing.T, cfg Config, plan *asmdb.Plan) *Preloader {
+	t.Helper()
+	s, err := Compile(cfg, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.New().(*Preloader)
+}
+
 func TestStoreCompilation(t *testing.T) {
-	p, err := New(DefaultConfig(), testPlan())
+	s, err := Compile(DefaultConfig(), testPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 0x1008 and 0x1010 share line 0x1000; 0x5000 is its own line.
-	if p.StoreEntries() != 2 {
-		t.Fatalf("store entries = %d, want 2", p.StoreEntries())
+	if s.Entries() != 2 {
+		t.Fatalf("store entries = %d, want 2", s.Entries())
 	}
 }
 
 func TestMetadataMissThenHit(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FillLatency = 40
-	p, err := New(cfg, testPlan())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := preloader(t, cfg, testPlan())
 	var issued []isa.Addr
 	issue := func(l isa.Addr) { issued = append(issued, l) }
 
@@ -86,7 +94,7 @@ func TestMetadataMissThenHit(t *testing.T) {
 }
 
 func TestUnknownLineIsQuiet(t *testing.T) {
-	p, _ := New(DefaultConfig(), testPlan())
+	p := preloader(t, DefaultConfig(), testPlan())
 	p.OnFetch(0xdead000, 0, false, func(isa.Addr) { t.Fatal("issued for unknown line") })
 	if p.PrefetchCounters().MetadataMisses != 0 {
 		t.Fatal("unknown line counted as metadata miss")
@@ -104,10 +112,7 @@ func TestMaxTargetsPerLine(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxTargetsPerLine = 3
 	cfg.FillLatency = 0
-	p, err := New(cfg, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := preloader(t, cfg, plan)
 	var issued []isa.Addr
 	p.OnFetch(0x1000, 0, false, func(l isa.Addr) { issued = append(issued, l) })
 	p.OnFetch(0x1000, 1, false, func(l isa.Addr) { issued = append(issued, l) })
@@ -120,10 +125,7 @@ func TestConflictEviction(t *testing.T) {
 	// Two trigger lines mapping to the same direct-mapped slot evict each
 	// other; both still work after re-fill.
 	cfg := Config{L1Entries: 1, FillLatency: 0, MaxTargetsPerLine: 4}
-	p, err := New(cfg, testPlan())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := preloader(t, cfg, testPlan())
 	count := 0
 	issue := func(isa.Addr) { count++ }
 	p.OnFetch(0x1000, 0, false, issue) // miss, installs

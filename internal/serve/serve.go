@@ -86,9 +86,9 @@ type Server struct {
 	flight map[string]*flight
 
 	// memo maps a request's identity, the request with timeout_ms
-	// cleared, to its resolved cell (prepareMemo), so a warm request is
-	// not resolved again. Its cells only probe the run cache: the cell a
-	// flight runs is resolved afresh (executeCell).
+	// cleared, to its resolved cell (prepareMemo), so a request is not
+	// resolved again: a warm one probes the memoized cell, and a flight
+	// runs it (executeCell).
 	memoMu sync.Mutex
 	memo   map[CellRequest]*preparedCell
 
@@ -205,9 +205,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // --- request/response types ---------------------------------------------
 
 // CellRequest asks for one simulation cell. Series selects one of the
@@ -297,11 +294,10 @@ type errorBody struct {
 
 // --- request resolution --------------------------------------------------
 
-// preparedCell is a fully-resolved cell request: the request, the
-// workload, the label the response carries (a suite series, or a
-// config-override cell's config name), and the resolved experiment cell.
+// preparedCell is a fully-resolved cell request: the workload, the label
+// the response carries (a suite series, or a config-override cell's config
+// name), and the resolved experiment cell.
 type preparedCell struct {
-	req    CellRequest
 	spec   workload.Spec
 	series string // suite series cell
 	config string // config-override cell
@@ -337,7 +333,7 @@ func (s *Server) prepare(req CellRequest) (*preparedCell, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	pc := &preparedCell{req: req, spec: spec}
+	pc := &preparedCell{spec: spec}
 	if err := applyAblation(&req); err != nil {
 		return nil, err
 	}
@@ -452,14 +448,10 @@ func overrideConfig(req CellRequest) (core.Config, error) {
 	case "":
 	case "nextline":
 		c.Name += "+nextline"
-		c.Frontend.Prefetcher = hwpf.NewNextLine(2)
+		c.Frontend.Prefetcher = hwpf.NextLineConfig{Degree: 2}
 	case "eip":
 		c.Name += "+eip"
-		eip, err := hwpf.NewEIP(hwpf.DefaultEIPConfig())
-		if err != nil {
-			return c, err
-		}
-		c.Frontend.Prefetcher = eip
+		c.Frontend.Prefetcher = hwpf.DefaultEIPConfig()
 	default:
 		return c, fmt.Errorf("unknown hwpf %q (want nextline or eip)", req.HwPrefetcher)
 	}
@@ -470,15 +462,8 @@ func overrideConfig(req CellRequest) (core.Config, error) {
 }
 
 // executeCell is the production runCell: the flight leader's simulation.
-// It runs a freshly resolved cell, never pc's, which the memo may share:
-// Cell.Run copies a cell but shares its machine's prefetcher, so a cell
-// that ran before would start an EIP or MANA run with trained tables.
 func (s *Server) executeCell(ctx context.Context, pc *preparedCell) (experiment.CellResult, error) {
-	fresh, err := s.prepare(pc.req)
-	if err != nil {
-		return experiment.CellResult{}, err
-	}
-	return fresh.cell.Run(ctx, s.pool)
+	return pc.cell.Run(ctx, s.pool)
 }
 
 // probeCell is the cache fast path: no admission, no flight. It reads the
