@@ -2,7 +2,7 @@
 // contract can drift, in one package shaped like internal/core.
 package fixture
 
-// Prefetcher stands in for the frontend.InstrPrefetcher interface field.
+// Prefetcher stands in for the cache.PrefetcherConfig interface field.
 type Prefetcher interface{ Hint() }
 
 type Config struct {

@@ -3,7 +3,7 @@
 // every Stats field survives the JSON round trip.
 package fixture
 
-// Prefetcher stands in for the frontend.InstrPrefetcher interface field.
+// Prefetcher stands in for the cache.PrefetcherConfig interface field.
 type Prefetcher interface{ Hint() }
 
 type Config struct {

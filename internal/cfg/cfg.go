@@ -4,7 +4,8 @@
 // samples on production machines; here the profile comes from a pass over
 // the workload's dynamic stream against a standalone L1-I cache model (see
 // DESIGN.md §2 — the consumer only needs the weighted CFG and the miss
-// ranking, not the mechanism that produced them).
+// ranking, not the mechanism that produced them). A block is one run of
+// the stream as trace.BlockSource cuts it for the front-end's FTQ.
 package cfg
 
 import (
@@ -13,13 +14,10 @@ import (
 	"sort"
 
 	"frontsim/internal/cache"
+	"frontsim/internal/ftq"
 	"frontsim/internal/isa"
 	"frontsim/internal/trace"
 )
-
-// MaxBlockInstrs mirrors the front-end's basic-block capacity so profiled
-// blocks correspond one-to-one with FTQ entries.
-const MaxBlockInstrs = 8
 
 // Node is one profiled basic block.
 type Node struct {
@@ -91,11 +89,6 @@ func (g *Graph) EdgeProb(from, to isa.Addr) float64 {
 
 // Options configures profiling.
 type Options struct {
-	// MaxInstrs bounds the profiled stream length (<=0 means unbounded).
-	MaxInstrs int64
-	// L1I configures the standalone instruction cache model used to
-	// attribute misses; zero value selects the paper's 32 KiB / 8-way.
-	L1I cache.LevelConfig
 	// IPC records the measured baseline IPC into the graph.
 	IPC float64
 }
@@ -108,29 +101,33 @@ func (flatMemory) Access(lineAddr isa.Addr, now cache.Cycle, kind cache.AccessKi
 	return now + 1
 }
 
-// Profile consumes src and builds the weighted CFG with miss attribution.
+// Profile consumes src and builds the weighted CFG with miss attribution
+// against the paper's 32 KiB, 8-way L1-I. It reads src through trace.Blocks
+// in runs of ftq.MaxBlockInstrs and adds each run as one block, so profiled
+// blocks are the FTQ's entries. Callers bound the stream with
+// trace.NewLimit.
 func Profile(src trace.Source, opts Options) (*Graph, error) {
-	l1cfg := opts.L1I
-	if l1cfg.SizeBytes == 0 {
-		l1cfg = cache.LevelConfig{Name: "prof-L1I", SizeBytes: 32 << 10, Ways: 8, HitLatency: 1, Repl: cache.ReplLRU}
-	}
-	l1, err := cache.NewLevel(l1cfg, flatMemory{})
+	l1, err := cache.NewLevel(cache.LevelConfig{Name: "prof-L1I", SizeBytes: 32 << 10, Ways: 8, HitLatency: 1, Repl: cache.ReplLRU}, flatMemory{})
 	if err != nil {
 		return nil, fmt.Errorf("cfg: building profiling cache: %w", err)
 	}
 
 	g := &Graph{Nodes: make(map[isa.Addr]*Node), IPC: opts.IPC}
 	var (
-		prevBlock isa.Addr
-		hasPrev   bool
-		block     []isa.Instr
-		now       cache.Cycle
+		prev  *Node
+		now   cache.Cycle
+		block = make([]isa.Instr, 0, ftq.MaxBlockInstrs)
 	)
-
-	flush := func() {
-		if len(block) == 0 {
-			return
+	blocks := trace.Blocks(src)
+	for {
+		block, err = blocks.NextBlock(block[:0], ftq.MaxBlockInstrs)
+		if err != nil && !errors.Is(err, trace.ErrEnd) {
+			return nil, fmt.Errorf("cfg: reading stream: %w", err)
 		}
+		if len(block) == 0 {
+			return g, nil
+		}
+		g.Instructions += int64(len(block))
 		start := block[0].PC
 		n := g.Nodes[start]
 		if n == nil {
@@ -153,43 +150,15 @@ func Profile(src trace.Source, opts Options) (*Graph, error) {
 				g.TotalMisses++
 			}
 		}
-		if hasPrev {
-			g.Nodes[prevBlock].Succs[start]++
-			n.Preds[prevBlock]++
+		if prev != nil {
+			prev.Succs[start]++
+			n.Preds[prev.PC]++
 		}
-		prevBlock = start
-		hasPrev = true
-		block = block[:0]
-	}
-
-	remaining := opts.MaxInstrs
-	for {
-		if opts.MaxInstrs > 0 && remaining == 0 {
-			break
-		}
-		in, err := src.Next()
-		if errors.Is(err, trace.ErrEnd) {
-			break
-		}
+		prev = n
 		if err != nil {
-			return nil, fmt.Errorf("cfg: reading stream: %w", err)
-		}
-		remaining--
-		g.Instructions++
-		if len(block) > 0 {
-			prev := block[len(block)-1]
-			if in.PC != prev.PC+isa.InstrSize {
-				// Should have been ended by a branch; treat as a break.
-				flush()
-			}
-		}
-		block = append(block, in)
-		if in.Class.IsBranch() || len(block) == MaxBlockInstrs {
-			flush()
+			return g, nil
 		}
 	}
-	flush()
-	return g, nil
 }
 
 // Validate checks graph invariants: edge flow conservation (outgoing edge

@@ -72,7 +72,7 @@ func TestProfileMissAttribution(t *testing.T) {
 }
 
 func TestProfileRespectsMaxInstrs(t *testing.T) {
-	g, err := Profile(trace.NewSlice(loopStream(100)), Options{MaxInstrs: 60})
+	g, err := Profile(trace.NewLimit(trace.NewSlice(loopStream(100)), 60), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

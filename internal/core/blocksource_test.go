@@ -9,20 +9,21 @@ import (
 	"frontsim/internal/workload"
 )
 
-// plainSource hides a source's BlockSource refinement, forcing the
-// front-end onto the incremental Next/peek path.
+// plainSource hides a source's NextBlock, so trace.Blocks reads it through
+// its cutter, one instruction at a time.
 type plainSource struct{ src trace.Source }
 
 func (p plainSource) Next() (isa.Instr, error) { return p.src.Next() }
 
-// TestBlockSourceEquivalence pins the block-level fill path against the
-// incremental one: the same executor stream fed through three paths must
-// produce byte-identical statistics. The incremental path defines the
-// block boundary semantics; RunSource reads blocks ahead on a second
-// goroutine; a Step-driven loop reads them on the simulating goroutine,
-// with no read-ahead. This is the differential harness that lets
-// BlockSource implementations and the read-ahead be trusted on the hot
-// path.
+// TestBlockSourceEquivalence pins the executor's runs against the cutter's:
+// the same executor stream fed through three paths must produce
+// byte-identical statistics. The incremental path hides NextBlock, so
+// trace.Blocks cuts the stream one instruction at a time; RunSource reads
+// the executor's runs ahead on a second goroutine; a Step-driven loop reads
+// them on the simulating goroutine, with no read-ahead. This is the
+// differential harness that lets BlockSource implementations and the
+// read-ahead be trusted on the hot path (trace.FuzzBlocksMatchPeekLoop
+// pins the cutter itself).
 func TestBlockSourceEquivalence(t *testing.T) {
 	for _, name := range []string{"secret_srv12", "secret_crypto52"} {
 		for _, conservative := range []bool{false, true} {
@@ -35,8 +36,8 @@ func TestBlockSourceEquivalence(t *testing.T) {
 				run := func(path string) []byte {
 					cfg := smallConfig(cfgName, conservative)
 					src := source(t, name)
-					if _, ok := trace.AsBlockSource(src); !ok {
-						t.Fatal("suite source is not block-capable; the fast path is untested")
+					if _, ok := src.(trace.BlockSource); !ok {
+						t.Fatal("suite source does not yield runs; the fast path is untested")
 					}
 					if path == "incremental" {
 						src = plainSource{src}
@@ -88,13 +89,9 @@ func TestBlockSourceLimitChop(t *testing.T) {
 			}
 			incInstrs = append(incInstrs, in)
 		}
-		bs, ok := trace.AsBlockSource(blk)
-		if !ok {
-			t.Fatal("limit over executor is not block-capable")
-		}
 		var blkInstrs []isa.Instr
 		for {
-			out, err := bs.NextBlock(nil, 8)
+			out, err := blk.NextBlock(nil, 8)
 			blkInstrs = append(blkInstrs, out...)
 			if err != nil {
 				break

@@ -222,8 +222,7 @@ type Sim struct {
 	// samp is the sampled-mode controller, nil for exact runs.
 	samp *samplingState
 
-	// ra reads a block source's runs ahead of the front-end while RunCtx
-	// runs; nil when the source yields single instructions.
+	// ra reads the source's runs ahead of the front-end while RunCtx runs.
 	ra *trace.ReadAhead
 }
 
@@ -237,13 +236,10 @@ func New(cfg Config, src trace.Source) (*Sim, error) {
 		return nil, err
 	}
 	s := &Sim{cfg: cfg, mem: mem, buf: make([]isa.Instr, 0, cfg.DecodeWidth)}
-	if bs, ok := trace.AsBlockSource(src); ok {
-		// The front-end asks for every run with MaxBlockInstrs, so that is
-		// what the producer reads.
-		s.ra = trace.NewReadAhead(bs, ftq.MaxBlockInstrs)
-		src = s.ra
-	}
-	fe, err := frontend.New(cfg.Frontend, src, mem, cfg.Triggers)
+	// The front-end asks for every run with MaxBlockInstrs, so that is what
+	// the producer reads.
+	s.ra = trace.NewReadAhead(trace.Blocks(src), ftq.MaxBlockInstrs)
+	fe, err := frontend.New(cfg.Frontend, s.ra, mem, cfg.Triggers)
 	if err != nil {
 		return nil, err
 	}
@@ -387,16 +383,14 @@ const cancelCheckInterval = 4096
 // byte-identical to an uncancelled one (internal/experiment.TestConformance
 // runs one mode under a live context).
 //
-// The source belongs to RunCtx while it runs. A block source is read on a
-// second goroutine, ahead of the front-end, in the same runs the front-end
-// would read itself; that goroutine is joined on every path out of RunCtx,
-// and a panic in the source is re-raised here with the same value. Runs
-// it read ahead and the run did not use stay queued for later Steps.
+// The source belongs to RunCtx while it runs. It is read on a second
+// goroutine, ahead of the front-end, in the same runs the front-end would
+// read itself; that goroutine is joined on every path out of RunCtx, and a
+// panic in the source is re-raised here with the same value. Runs it read
+// ahead and the run did not use stay queued for later Steps.
 func (s *Sim) RunCtx(ctx context.Context) (Stats, error) {
-	if s.ra != nil {
-		s.ra.Start()
-		defer s.ra.Stop()
-	}
+	s.ra.Start()
+	defer s.ra.Stop()
 	const idleLimit = 1_000_000 // cycles without retirement => wedged
 	idle := cache.Cycle(0)
 	cancellable := ctx.Done() != nil

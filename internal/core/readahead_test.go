@@ -52,9 +52,9 @@ func (s *failingSource) NextBlock(buf []isa.Instr, max int) ([]isa.Instr, error)
 
 func blockSource(t *testing.T, name string) trace.BlockSource {
 	t.Helper()
-	bs, ok := trace.AsBlockSource(source(t, name))
+	bs, ok := source(t, name).(trace.BlockSource)
 	if !ok {
-		t.Fatal("suite source is not block-capable")
+		t.Fatal("suite source does not yield runs")
 	}
 	return bs
 }

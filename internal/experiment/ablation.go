@@ -32,14 +32,18 @@ func ipcCell(st core.Stats) string {
 // two estimates' relative confidence half-widths combine in quadrature
 // (first-order error propagation through the ratio; the CPI and IPC
 // relative widths agree to the same order), so speedup columns carry a ±
-// too.
+// too. That holds only while both widths are below 1, where both IPC
+// intervals are bounded; when either is not, neither is the speedup's.
 func speedupCell(st, base core.Stats) string {
 	sp := 0.0
 	if base.Cycles > 0 && base.Instructions > 0 {
 		sp = st.IPC() / base.IPC()
 	}
-	if st.Sampling == nil || base.Sampling == nil {
+	switch {
+	case st.Sampling == nil || base.Sampling == nil:
 		return fmt.Sprintf("%.3f", sp)
+	case math.IsInf(st.Sampling.IPCCI95(), 1) || math.IsInf(base.Sampling.IPCCI95(), 1):
+		return fmt.Sprintf("%.3f±unbounded", sp)
 	}
 	rs, rb := st.Sampling.CPI.RelCI95(), base.Sampling.CPI.RelCI95()
 	return fmt.Sprintf("%.3f±%.3f", sp, sp*math.Sqrt(rs*rs+rb*rb))

@@ -131,6 +131,24 @@ func TestSamplingTableCI(t *testing.T) {
 	if got, want := ipcCell(st), "0.400±unbounded"; got != want {
 		t.Errorf("unbounded IPC interval renders as %q, want %q", got, want)
 	}
+	// A speedup over an unbounded interval is unbounded too, whichever
+	// side it is on; five windows of CPI 2 have a zero-width interval.
+	var flat stats.Estimate
+	for i := 0; i < 5; i++ {
+		flat.Add(2)
+	}
+	five := core.Stats{Cycles: 10, Instructions: 5, Sampling: &core.SamplingStats{Windows: 5, CPI: flat}}
+	for _, c := range []struct {
+		st, base core.Stats
+		want     string
+	}{
+		{st, st, "1.000±unbounded"},
+		{five, st, "1.250±unbounded"},
+	} {
+		if got := speedupCell(c.st, c.base); got != c.want {
+			t.Errorf("speedup over an unbounded IPC interval renders as %q, want %q", got, c.want)
+		}
+	}
 }
 
 func mustLookup(t *testing.T, name string) workload.Spec {

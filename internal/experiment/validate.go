@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"frontsim/internal/core"
 	"frontsim/internal/stats"
@@ -68,8 +67,8 @@ func SamplingValidation(specs []workload.Spec, p Params) (*stats.Table, float64,
 			fmt.Sprint(len(specs)),
 			fmt.Sprintf("%+.2f", stats.Mean(signed)),
 			fmt.Sprintf("%.2f", stats.Mean(abs)),
-			fmt.Sprintf("%.2f", percentile(abs, 0.50)),
-			fmt.Sprintf("%.2f", percentile(abs, 0.90)),
+			fmt.Sprintf("%.2f", stats.Percentile(abs, 50)),
+			fmt.Sprintf("%.2f", stats.Percentile(abs, 90)),
 			fmt.Sprintf("%.2f", stats.Max(abs)),
 			fmt.Sprintf("%.1f", 100*float64(cov)/float64(len(specs))))
 	}
@@ -78,27 +77,9 @@ func SamplingValidation(specs []workload.Spec, p Params) (*stats.Table, float64,
 		fmt.Sprint(total),
 		"",
 		fmt.Sprintf("%.2f", stats.Mean(allAbs)),
-		fmt.Sprintf("%.2f", percentile(allAbs, 0.50)),
-		fmt.Sprintf("%.2f", percentile(allAbs, 0.90)),
+		fmt.Sprintf("%.2f", stats.Percentile(allAbs, 50)),
+		fmt.Sprintf("%.2f", stats.Percentile(allAbs, 90)),
 		fmt.Sprintf("%.2f", stats.Max(allAbs)),
 		fmt.Sprintf("%.1f", 100*coverage))
 	return t, coverage, nil
-}
-
-// percentile returns the q-quantile (0..1) of xs by nearest-rank on a
-// sorted copy; 0 for an empty slice.
-func percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	i := int(math.Ceil(q*float64(len(s)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
 }

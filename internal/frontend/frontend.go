@@ -155,11 +155,10 @@ type Frontend struct {
 	cfg Config
 	bp  *bpu.BPU
 	// sd is the shadow-branch decoder, nil when cfg.Shadow is disabled.
-	sd   *bpu.ShadowDecoder
-	q    *ftq.FTQ
-	mem  *cache.Hierarchy
-	src  trace.Source
-	bsrc trace.BlockSource // non-nil when src yields whole blocks
+	sd  *bpu.ShadowDecoder
+	q   *ftq.FTQ
+	mem *cache.Hierarchy
+	src trace.BlockSource
 
 	// triggers maps a trigger PC to target addresses prefetched when the
 	// trigger's block completes fetch (AsmDB "no insertion overhead"
@@ -170,8 +169,6 @@ type Frontend struct {
 	triggers   map[isa.Addr][]isa.Addr
 	trigFilter []uint64
 
-	peeked   *isa.Instr // nil or &peekBuf; a stable buffer keeps the per-instruction peek off the heap
-	peekBuf  isa.Instr
 	blockBuf []isa.Instr
 	srcDone  bool
 	srcErr   error
@@ -227,12 +224,11 @@ func New(cfg Config, src trace.Source, mem *cache.Hierarchy, triggers map[isa.Ad
 		bp:       bp,
 		q:        ftq.New(cfg.FTQEntries),
 		mem:      mem,
-		src:      src,
+		src:      trace.Blocks(src),
 		triggers: triggers,
 		stallSeq: -1,
 		blockBuf: make([]isa.Instr, 0, ftq.MaxBlockInstrs),
 	}
-	f.bsrc, _ = trace.AsBlockSource(src)
 	f.issue = func(l isa.Addr) { f.mem.PrefetchInstr(l, f.issueAt) }
 	if cfg.Prefetcher != nil {
 		f.pf = cfg.Prefetcher.New()
@@ -301,63 +297,24 @@ func (f *Frontend) Err() error { return f.srcErr }
 // Done reports that the source is exhausted and every instruction has left
 // the FTQ.
 func (f *Frontend) Done() bool {
-	return f.srcDone && f.q.Empty() && f.peeked == nil
+	return f.srcDone && f.q.Empty()
 }
 
-func (f *Frontend) peek() *isa.Instr {
-	if f.peeked != nil || f.srcDone {
-		return f.peeked
+// nextBlock reads the next basic block from the true-path stream: one run
+// of the source, up to MaxBlockInstrs contiguous instructions ended early
+// by any branch (trace.BlockSource). It is empty once the source is done.
+func (f *Frontend) nextBlock() []isa.Instr {
+	if f.srcDone {
+		return nil
 	}
-	in, err := f.src.Next()
+	blk, err := f.src.NextBlock(f.blockBuf[:0], ftq.MaxBlockInstrs)
 	if err != nil {
 		f.srcDone = true
 		if !errors.Is(err, trace.ErrEnd) {
 			f.srcErr = err
 		}
-		return nil
 	}
-	f.peekBuf = in
-	f.peeked = &f.peekBuf
-	return f.peeked
-}
-
-// nextBlock accumulates the next basic block from the true-path stream: up
-// to MaxBlockInstrs contiguous instructions, ended early by any branch.
-// Block-capable sources hand over the whole run in one call; the
-// incremental path below defines the boundary semantics both must match.
-func (f *Frontend) nextBlock() []isa.Instr {
-	if f.bsrc != nil && !f.srcDone {
-		blk, err := f.bsrc.NextBlock(f.blockBuf[:0], ftq.MaxBlockInstrs)
-		if err != nil {
-			f.srcDone = true
-			if !errors.Is(err, trace.ErrEnd) {
-				f.srcErr = err
-			}
-		}
-		return blk
-	}
-	f.blockBuf = f.blockBuf[:0]
-	for len(f.blockBuf) < ftq.MaxBlockInstrs {
-		p := f.peek()
-		if p == nil {
-			break
-		}
-		if len(f.blockBuf) > 0 {
-			prev := f.blockBuf[len(f.blockBuf)-1]
-			if p.PC != prev.PC+isa.InstrSize {
-				// Discontinuity without a branch terminator cannot happen
-				// in a well-formed trace, but a serialized trace is
-				// external input: treat the boundary as a block break.
-				break
-			}
-		}
-		f.peeked = nil
-		f.blockBuf = append(f.blockBuf, *p)
-		if p.Class.IsBranch() {
-			break
-		}
-	}
-	return f.blockBuf
+	return blk
 }
 
 // Cycle advances the front-end by one cycle: accounts FTQ state, releases
@@ -384,7 +341,7 @@ func (f *Frontend) Cycle(now cache.Cycle) {
 		// nor expires while the window boundary drains.
 		return
 	}
-	if f.srcDone && f.peeked == nil {
+	if f.srcDone {
 		return
 	}
 	if f.stalled {

@@ -8,7 +8,7 @@ import "frontsim/internal/cache"
 // dispatching — can unblock it). The checks mirror Cycle's early returns
 // in order:
 //
-//   - a drained source with nothing buffered never fills again;
+//   - a drained source never fills again;
 //   - a wrong-path stall waiting on branch resolution (stallSeq >= 0)
 //     clears only when the branch dispatches, which requires a pop;
 //   - a timed stall (PFC, redirect, BTB promotion) clears at stallUntil;
@@ -23,7 +23,7 @@ func (f *Frontend) FillBlockedUntil(now cache.Cycle) (cache.Cycle, bool) {
 		// cycles; within simulated time the block is indefinite.
 		return cache.CycleMax, true
 	}
-	if f.srcDone && f.peeked == nil {
+	if f.srcDone {
 		return cache.CycleMax, true
 	}
 	if f.stalled {
@@ -63,7 +63,7 @@ func (f *Frontend) SkipTo(from, to cache.Cycle) {
 	if f.fillGated {
 		return // gated cycles are drain cycles, not stalls (mirrors Cycle)
 	}
-	if f.srcDone && f.peeked == nil {
+	if f.srcDone {
 		return
 	}
 	if f.stalled {

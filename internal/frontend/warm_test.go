@@ -173,8 +173,8 @@ func serialWarm(f *Frontend, n int64, now cache.Cycle) int64 {
 
 // sprinkledSource turns every 40th ALU instruction of an executor into a
 // software prefetch of an unaligned address 8 KiB ahead, so functional
-// phases carry prefetch ops. It yields one instruction at a time, which
-// also drives the front-end's incremental block assembly.
+// phases carry prefetch ops. It yields one instruction at a time, so the
+// front-end reads it through trace.Blocks' cutter.
 type sprinkledSource struct {
 	src trace.Source
 	n   int

@@ -31,10 +31,7 @@ func TestNextBlockAppendsToBuffer(t *testing.T) {
 	const n = 3001 // the Limit budget, and how much of the executor's unbounded stream is compared
 	sources := map[string]func() trace.BlockSource{
 		"executor": func() trace.BlockSource { return program.NewExecutor(prog, spec.Seed) },
-		"limit": func() trace.BlockSource {
-			bs, _ := trace.AsBlockSource(trace.NewLimit(program.NewExecutor(prog, spec.Seed), n))
-			return bs
-		},
+		"limit":    func() trace.BlockSource { return trace.NewLimit(program.NewExecutor(prog, spec.Seed), n) },
 	}
 	for _, name := range []string{"executor", "limit"} {
 		want, err := trace.Collect(sources[name](), n)

@@ -737,8 +737,9 @@ func NewExecutor(prog *Program, seed uint64) *Executor {
 	return e
 }
 
-// Reset implements trace.Resetter: rewinds to the program entry with the
-// original seed, replaying the identical stream.
+// Reset rewinds to the program entry with the original seed, so the
+// executor replays the identical stream. NewExecutor starts every executor
+// with it.
 func (e *Executor) Reset() {
 	root := xrand.New(e.seed)
 	e.ctrl = root.Fork()

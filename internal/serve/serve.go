@@ -480,15 +480,6 @@ func (s *Server) probeCell(pc *preparedCell) (cellStats, bool, error) {
 
 // --- core cell flow ------------------------------------------------------
 
-// httpError carries a status code (and optional Retry-After) to the edge.
-type httpError struct {
-	status     int
-	retryAfter time.Duration
-	msg        string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
 var (
 	errQueueFull = errors.New("serve: admission queue full")
 	errDraining  = errors.New("serve: draining")
@@ -738,39 +729,33 @@ func appendCell(dst []byte, resp CellResponse) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
+// writeErr writes err's error answer. A shed request, on a full queue or a
+// draining server, is counted here and told when to retry.
 func (s *Server) writeErr(w http.ResponseWriter, err error) {
-	var he *httpError
-	if errors.As(err, &he) {
-		if he.retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int((he.retryAfter+time.Second-1)/time.Second)))
-		}
-		s.writeJSON(w, he.status, errorBody{Error: he.msg})
-		return
-	}
+	status, msg := http.StatusInternalServerError, err.Error()
 	switch {
 	case errors.Is(err, errQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.opts.RetryAfter+time.Second-1)/time.Second)))
-		s.writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "execution queue full; retry later"})
+		s.rejectedFull.Add(1)
+		status, msg = http.StatusTooManyRequests, "execution queue full; retry later"
 	case errors.Is(err, errDraining):
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.opts.RetryAfter+time.Second-1)/time.Second)))
-		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
+		s.rejectedDrai.Add(1)
+		status, msg = http.StatusServiceUnavailable, "draining"
 	case errors.Is(err, context.DeadlineExceeded):
-		s.writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: err.Error()})
+		status = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
-		// The client is gone; the status is a formality.
-		s.writeJSON(w, 499, errorBody{Error: err.Error()})
-	default:
-		s.writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		status = 499 // the client is gone; the status is a formality
 	}
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", strconv.Itoa(int((s.opts.RetryAfter+time.Second-1)/time.Second)))
+	}
+	s.writeJSON(w, status, errorBody{Error: msg})
 }
 
 // admitHTTP performs the checks shared by the work endpoints. It returns
 // false after writing the response when the request must not proceed.
 func (s *Server) admitHTTP(w http.ResponseWriter) bool {
 	if s.draining.Load() {
-		s.rejectedDrai.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.opts.RetryAfter+time.Second-1)/time.Second)))
-		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
+		s.writeErr(w, errDraining)
 		return false
 	}
 	return true
@@ -804,12 +789,6 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	resp, err := s.cell(ctx, pc)
 	if err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
-			s.rejectedFull.Add(1)
-		case errors.Is(err, errDraining):
-			s.rejectedDrai.Add(1)
-		}
 		s.writeErr(w, err)
 		return
 	}
@@ -869,12 +848,6 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			switch {
-			case errors.Is(err, errQueueFull):
-				s.rejectedFull.Add(1)
-			case errors.Is(err, errDraining):
-				s.rejectedDrai.Add(1)
-			}
 			s.writeErr(w, fmt.Errorf("cell %s/%s: %w", cells[i].spec.Name, cells[i].series, err))
 			return
 		}

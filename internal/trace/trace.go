@@ -23,50 +23,81 @@ type Source interface {
 	Next() (isa.Instr, error)
 }
 
-// Resetter is implemented by sources that can rewind to the beginning,
-// allowing one workload object to drive multiple simulation runs.
-type Resetter interface {
-	Reset()
-}
-
-// BlockSource is an optional Source refinement for streams that can yield
-// a whole fetch block per call, saving the consumer one interface call and
-// one instruction copy per instruction on the simulator's hottest path.
+// BlockSource is a Source that yields a whole fetch block per call, saving
+// the consumer one interface call and one instruction copy per instruction
+// on the simulator's hottest path. Every consumer that cuts the stream into
+// blocks reads it this way (the front-end's FTQ entries, the read-ahead's
+// runs, cfg.Profile's blocks), so they all cut it alike; Blocks gives any
+// Source this form.
 //
 // NextBlock appends the next run of instructions to buf and returns the
-// extended slice. The stream must be identical to repeated Next calls, and
-// the run must end exactly where an incremental consumer peeking
-// instruction-by-instruction would end it:
+// extended slice. The runs together are the stream repeated Next calls
+// yield. A run ends:
 //
 //   - after a branch-class instruction (inclusive), or
 //   - when len grows by max instructions, or
+//   - before an instruction whose PC does not follow the previous one in
+//     the run, which starts the next run, or
 //   - at stream end — reported as ErrEnd together with any non-branch
-//     tail, exactly when the incremental consumer's lookahead past a
-//     non-branch instruction would have hit the end. A run ending in a
-//     branch reports nil; the ErrEnd surfaces on the next call.
+//     tail, exactly when a consumer reading ahead one instruction past a
+//     non-branch would hit the end. A run ending in a branch reports nil;
+//     the ErrEnd surfaces on the next call.
 //
-// Instructions within a returned run are address-contiguous. Sources with
-// possible discontinuities (serialized traces, arbitrary slices) must not
-// implement BlockSource; consumers fall back to Next and their own
-// boundary checks.
+// A failing source's error comes back the same way, with the run read
+// before it.
 type BlockSource interface {
 	Source
 	NextBlock(buf []isa.Instr, max int) ([]isa.Instr, error)
 }
 
-// AsBlockSource reports whether src can yield whole fetch blocks,
-// unwrapping Limit (whose block support depends on what it wraps).
-func AsBlockSource(src Source) (BlockSource, bool) {
-	switch s := src.(type) {
-	case *Limit:
-		if _, ok := AsBlockSource(s.src); ok {
-			return s, true
-		}
-		return nil, false
-	case BlockSource:
-		return s, true
+// Blocks returns src as a BlockSource: src itself when it yields runs, and
+// otherwise a cutter that reads src's Next and ends each run by
+// BlockSource's rule.
+func Blocks(src Source) BlockSource {
+	if bs, ok := src.(BlockSource); ok {
+		return bs
 	}
-	return nil, false
+	return &cutter{src: src}
+}
+
+// cutter cuts a Source that only has Next into runs. held is the
+// instruction that ended the last run by not following it, which starts the
+// next run: a PC jump without a branch cannot happen in an executor's
+// stream, but a serialized trace is external input.
+type cutter struct {
+	src  Source
+	held isa.Instr
+	hold bool
+}
+
+// Next implements Source.
+func (c *cutter) Next() (isa.Instr, error) {
+	if c.hold {
+		c.hold = false
+		return c.held, nil
+	}
+	return c.src.Next()
+}
+
+// NextBlock implements BlockSource. It compares PCs only within the run it
+// appends, never with what buf already held.
+func (c *cutter) NextBlock(buf []isa.Instr, max int) ([]isa.Instr, error) {
+	start := len(buf)
+	for len(buf)-start < max {
+		in, err := c.Next()
+		if err != nil {
+			return buf, err
+		}
+		if n := len(buf); n > start && in.PC != buf[n-1].PC+isa.InstrSize {
+			c.held, c.hold = in, true
+			break
+		}
+		buf = append(buf, in)
+		if in.Class.IsBranch() {
+			break
+		}
+	}
+	return buf, nil
 }
 
 // Slice is an in-memory Source over a fixed instruction sequence.
@@ -88,22 +119,20 @@ func (s *Slice) Next() (isa.Instr, error) {
 	return in, nil
 }
 
-// Reset implements Resetter.
-func (s *Slice) Reset() { s.pos = 0 }
-
 // Len returns the total number of instructions in the slice.
 func (s *Slice) Len() int { return len(s.instrs) }
 
 // Limit wraps a Source and stops after n instructions. It is used to run
 // the paper's fixed-instruction-count simulations over unbounded executors.
 type Limit struct {
-	src  Source
+	src  BlockSource
 	n    int64
 	seen int64
 }
 
-// NewLimit returns a Source that yields at most n instructions from src.
-func NewLimit(src Source, n int64) *Limit { return &Limit{src: src, n: n} }
+// NewLimit returns a BlockSource that yields at most n instructions from
+// src, which it reads through Blocks.
+func NewLimit(src Source, n int64) *Limit { return &Limit{src: Blocks(src), n: n} }
 
 // Next implements Source.
 func (l *Limit) Next() (isa.Instr, error) {
@@ -118,9 +147,8 @@ func (l *Limit) Next() (isa.Instr, error) {
 	return in, nil
 }
 
-// NextBlock implements BlockSource by budget-chopping the wrapped stream.
-// Callers must gate on AsBlockSource: the method is only valid when the
-// wrapped source itself yields blocks.
+// NextBlock implements BlockSource by budget-chopping the wrapped stream's
+// runs.
 func (l *Limit) NextBlock(buf []isa.Instr, max int) ([]isa.Instr, error) {
 	if l.seen >= l.n {
 		return buf, ErrEnd
@@ -129,13 +157,13 @@ func (l *Limit) NextBlock(buf []isa.Instr, max int) ([]isa.Instr, error) {
 	if rem := l.n - l.seen; int64(m) > rem {
 		m = int(rem)
 	}
-	out, err := l.src.(BlockSource).NextBlock(buf, m)
+	out, err := l.src.NextBlock(buf, m)
 	l.seen += int64(len(out) - len(buf))
 	if err != nil {
 		return out, err
 	}
-	// The budget ran out mid-block: an incremental consumer would have
-	// peeked past the final non-branch instruction and seen the end now.
+	// The budget ran out mid-block: a consumer reading one instruction
+	// ahead past the final non-branch instruction would see the end now.
 	// A branch-final or max-sized run ends naturally without the probe.
 	if l.seen >= l.n && len(out)-len(buf) < max {
 		if n := len(out); n == len(buf) || !out[n-1].Class.IsBranch() {
@@ -143,14 +171,6 @@ func (l *Limit) NextBlock(buf []isa.Instr, max int) ([]isa.Instr, error) {
 		}
 	}
 	return out, nil
-}
-
-// Reset implements Resetter when the underlying source does.
-func (l *Limit) Reset() {
-	l.seen = 0
-	if r, ok := l.src.(Resetter); ok {
-		r.Reset()
-	}
 }
 
 // Collect drains up to max instructions from src into a slice. max < 0

@@ -37,11 +37,6 @@ func TestSliceSource(t *testing.T) {
 	if _, err := s.Next(); !errors.Is(err, ErrEnd) {
 		t.Fatalf("want ErrEnd, got %v", err)
 	}
-	s.Reset()
-	in, err := s.Next()
-	if err != nil || in.PC != 0x1000 {
-		t.Fatalf("after Reset: %v %v", in, err)
-	}
 }
 
 func TestLimit(t *testing.T) {
@@ -49,11 +44,6 @@ func TestLimit(t *testing.T) {
 	got, err := Collect(l, -1)
 	if err != nil || len(got) != 3 {
 		t.Fatalf("got %d err %v", len(got), err)
-	}
-	l.Reset()
-	got, err = Collect(l, -1)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("after reset got %d err %v", len(got), err)
 	}
 }
 
