@@ -23,6 +23,7 @@ import (
 	"frontsim/internal/isa"
 	"frontsim/internal/program"
 	"frontsim/internal/runner"
+	"frontsim/internal/stats"
 	"frontsim/internal/trace"
 	"frontsim/internal/workload"
 )
@@ -95,6 +96,54 @@ func TestStatsDigestGolden(t *testing.T) {
 		}
 	}
 	checkPin(t, "stats_digest_golden.json", got)
+}
+
+// TestTableGolden pins the text of every ablation and extension table
+// across commits, over digestWorkloads in each of digestModes. The stats
+// digest pins what the cells compute; this pins how the tables render
+// them, so a change to a table's code must print the same bytes. The
+// sampled tables carry both bounded and unbounded ± cells. X1–X3 always
+// run exact, so they are pinned in the exact mode only. amd64-only, as
+// TestStatsDigestGolden is.
+func TestTableGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("tables are pinned on amd64; %s may fuse float ops differently", runtime.GOARCH)
+	}
+	var specs []workload.Spec
+	for _, name := range digestWorkloads {
+		specs = append(specs, mustLookup(t, name))
+	}
+	tables := []struct {
+		name      string
+		exactOnly bool
+		run       func(Params) (*stats.Table, error)
+	}{
+		{"A1", false, func(p Params) (*stats.Table, error) { return AblationFTQDepth(specs, []int{2, 8, 24}, p) }},
+		{"A2", false, func(p Params) (*stats.Table, error) { return AblationFanout(specs, []float64{0.3, 0.5}, p) }},
+		{"A3", false, func(p Params) (*stats.Table, error) { return AblationFrontend(specs, p) }},
+		{"A4", false, func(p Params) (*stats.Table, error) { return AblationPredictor(specs, p) }},
+		{"A5", false, func(p Params) (*stats.Table, error) { return AblationReplacement(specs, p) }},
+		{"A6", false, func(p Params) (*stats.Table, error) { return AblationWrongPath(specs, []int{0, 4}, p) }},
+		{"A7", false, func(p Params) (*stats.Table, error) { return AblationBTB(specs, []int{0, 1024}, p) }},
+		{"A8", false, func(p Params) (*stats.Table, error) { return AblationMechanism(specs, p) }},
+		{"X1", true, func(p Params) (*stats.Table, error) { return ExtensionPreload(specs, p) }},
+		{"X2", true, func(p Params) (*stats.Table, error) { return ExtensionFeedback(specs, p) }},
+		{"X3", true, func(p Params) (*stats.Table, error) { return ExtensionISpy(specs, p) }},
+	}
+	got := map[string]string{}
+	for _, mode := range digestModes() {
+		for _, tab := range tables {
+			if tab.exactOnly && mode.p.Sampling.Enabled() {
+				continue
+			}
+			tb, err := tab.run(mode.p)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", mode.name, tab.name, err)
+			}
+			got[mode.name+"/"+tab.name] = tb.String()
+		}
+	}
+	checkPin(t, "table_golden.json", got)
 }
 
 // checkPin compares cells with the golden pin file under testdata.
