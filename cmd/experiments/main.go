@@ -25,6 +25,7 @@ import (
 	_ "net/http/pprof" // profiling on /debug/pprof when -http is set
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -199,6 +200,56 @@ func serveDebug(ctx context.Context, ln net.Listener, col *obs.SuiteCollector) e
 	return serve.ListenAndServe(ctx, serve.NewHTTPServer(ln.Addr().String(), mux), ln, 5*time.Second)
 }
 
+// sweepRun runs one ablation or extension over a list of workloads.
+type sweepRun func([]workload.Spec, experiment.Params) (*stats.Table, error)
+
+// ablations are the -ablation runs by name; each emits ablation_<name>.
+var ablations = map[string]sweepRun{
+	"ftq": func(specs []workload.Spec, p experiment.Params) (*stats.Table, error) {
+		return experiment.AblationFTQDepth(specs, []int{2, 4, 8, 16, 24, 32}, p)
+	},
+	"fanout": func(specs []workload.Spec, p experiment.Params) (*stats.Table, error) {
+		return experiment.AblationFanout(specs, []float64{0.1, 0.3, 0.5, 0.7}, p)
+	},
+	"frontend":    experiment.AblationFrontend,
+	"predictor":   experiment.AblationPredictor,
+	"replacement": experiment.AblationReplacement,
+	"wrongpath": func(specs []workload.Spec, p experiment.Params) (*stats.Table, error) {
+		return experiment.AblationWrongPath(specs, []int{0, 2, 4, 8}, p)
+	},
+	"btb": func(specs []workload.Spec, p experiment.Params) (*stats.Table, error) {
+		return experiment.AblationBTB(specs, []int{0, 512, 1024, 4096}, p)
+	},
+	"mechanism": experiment.AblationMechanism,
+}
+
+// extensions are the -extension runs by name; each emits extension_<name>.
+var extensions = map[string]sweepRun{
+	"preload":  experiment.ExtensionPreload,
+	"feedback": experiment.ExtensionFeedback,
+	"ispy":     experiment.ExtensionISpy,
+}
+
+// figureRun is one projection of the suite's matrices, emitted as slug.
+type figureRun struct {
+	id   int
+	make func([]*experiment.Matrix) *stats.Table
+	slug string
+}
+
+// figures are the -figure runs in print order. One whose id is 0 prints
+// only when every figure does.
+var figures = []figureRun{
+	{1, experiment.Figure1, "figure1"},
+	{7, experiment.Figure7, "figure7"},
+	{8, experiment.Figure8, "figure8"},
+	{9, experiment.Figure9, "figure9"},
+	{10, experiment.Figure10, "figure10"},
+	{11, experiment.Figure11, "figure11"},
+	{0, experiment.Methodology, "methodology"},
+	{0, experiment.HeadStallBreakdown, "headstall_breakdown"},
+}
+
 func run(figure, table int, ablation, ext string, n int, p experiment.Params, csvDir string, quiet bool, sampValidate bool) error {
 	specs := workload.All()
 	if n < len(specs) {
@@ -248,84 +299,23 @@ func run(figure, table int, ablation, ext string, n int, p experiment.Params, cs
 		return nil
 	}
 
-	if ext != "" {
-		switch strings.ToLower(ext) {
-		case "preload":
-			t, err := experiment.ExtensionPreload(sub, p)
-			if err != nil {
-				return err
-			}
-			return emit(t, "extension_preload")
-		case "feedback":
-			t, err := experiment.ExtensionFeedback(sub, p)
-			if err != nil {
-				return err
-			}
-			return emit(t, "extension_feedback")
-		case "ispy":
-			t, err := experiment.ExtensionISpy(sub, p)
-			if err != nil {
-				return err
-			}
-			return emit(t, "extension_ispy")
-		default:
-			return fmt.Errorf("unknown extension %q", ext)
-		}
+	kind, name, runs := "extension", ext, extensions
+	if ext == "" {
+		kind, name, runs = "ablation", ablation, ablations
 	}
-
-	if ablation != "" {
-		switch strings.ToLower(ablation) {
-		case "ftq":
-			t, err := experiment.AblationFTQDepth(sub, []int{2, 4, 8, 16, 24, 32}, p)
-			if err != nil {
-				return err
-			}
-			return emit(t, "ablation_ftq")
-		case "fanout":
-			t, err := experiment.AblationFanout(sub, []float64{0.1, 0.3, 0.5, 0.7}, p)
-			if err != nil {
-				return err
-			}
-			return emit(t, "ablation_fanout")
-		case "frontend":
-			t, err := experiment.AblationFrontend(sub, p)
-			if err != nil {
-				return err
-			}
-			return emit(t, "ablation_frontend")
-		case "predictor":
-			t, err := experiment.AblationPredictor(sub, p)
-			if err != nil {
-				return err
-			}
-			return emit(t, "ablation_predictor")
-		case "replacement":
-			t, err := experiment.AblationReplacement(sub, p)
-			if err != nil {
-				return err
-			}
-			return emit(t, "ablation_replacement")
-		case "wrongpath":
-			t, err := experiment.AblationWrongPath(sub, []int{0, 2, 4, 8}, p)
-			if err != nil {
-				return err
-			}
-			return emit(t, "ablation_wrongpath")
-		case "btb":
-			t, err := experiment.AblationBTB(sub, []int{0, 512, 1024, 4096}, p)
-			if err != nil {
-				return err
-			}
-			return emit(t, "ablation_btb")
-		case "mechanism":
-			t, err := experiment.AblationMechanism(sub, p)
-			if err != nil {
-				return err
-			}
-			return emit(t, "ablation_mechanism")
-		default:
-			return fmt.Errorf("unknown ablation %q", ablation)
+	if name != "" {
+		fn, ok := runs[strings.ToLower(name)]
+		if !ok {
+			return fmt.Errorf("unknown %s %q", kind, name)
 		}
+		t, err := fn(sub, p)
+		if err != nil {
+			return err
+		}
+		return emit(t, kind+"_"+strings.ToLower(name))
+	}
+	if figure != 0 && !slices.ContainsFunc(figures, func(f figureRun) bool { return f.id == figure }) {
+		return fmt.Errorf("unknown figure %d", figure)
 	}
 
 	if table == 1 || (figure == 0 && table == 0) {
@@ -355,38 +345,12 @@ func run(figure, table int, ablation, ext string, n int, p experiment.Params, cs
 	}
 	fmt.Fprintf(os.Stderr, "suite of %d workloads completed in %s\n\n", len(ms), time.Since(start).Round(time.Second))
 
-	type fig struct {
-		id   int
-		make func([]*experiment.Matrix) *stats.Table
-		slug string
-	}
-	figs := []fig{
-		{1, experiment.Figure1, "figure1"},
-		{7, experiment.Figure7, "figure7"},
-		{8, experiment.Figure8, "figure8"},
-		{9, experiment.Figure9, "figure9"},
-		{10, experiment.Figure10, "figure10"},
-		{11, experiment.Figure11, "figure11"},
-	}
-	ran := false
-	for _, f := range figs {
-		if figure != 0 && figure != f.id {
-			continue
+	for _, f := range figures {
+		if figure == f.id || figure == 0 {
+			if err := emit(f.make(ms), f.slug); err != nil {
+				return err
+			}
 		}
-		ran = true
-		if err := emit(f.make(ms), f.slug); err != nil {
-			return err
-		}
-	}
-	if figure == 0 {
-		if err := emit(experiment.Methodology(ms), "methodology"); err != nil {
-			return err
-		}
-		if err := emit(experiment.HeadStallBreakdown(ms), "headstall_breakdown"); err != nil {
-			return err
-		}
-	} else if !ran {
-		return fmt.Errorf("unknown figure %d", figure)
 	}
 	return nil
 }

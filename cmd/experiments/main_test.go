@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"frontsim/internal/core"
@@ -36,9 +37,17 @@ func TestRunFigure1WithCSV(t *testing.T) {
 	}
 }
 
+// TestRunUnknownFigure also requires that an unknown figure is rejected
+// before the suite simulates anything: no cell may reach ObsRun.
 func TestRunUnknownFigure(t *testing.T) {
-	if err := run(99, 0, "", "", 1, tinyParams(), "", true, false); err == nil {
+	p := tinyParams()
+	var live atomic.Int64
+	p.ObsRun = func(string, string) obs.Sink { live.Add(1); return nil }
+	if err := run(99, 0, "", "", 1, p, "", true, false); err == nil {
 		t.Fatal("accepted unknown figure")
+	}
+	if n := live.Load(); n != 0 {
+		t.Fatalf("simulated %d cells before rejecting the figure", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -35,10 +36,7 @@ func ipcCell(st core.Stats) string {
 // too. That holds only while both widths are below 1, where both IPC
 // intervals are bounded; when either is not, neither is the speedup's.
 func speedupCell(st, base core.Stats) string {
-	sp := 0.0
-	if base.Cycles > 0 && base.Instructions > 0 {
-		sp = st.IPC() / base.IPC()
-	}
+	sp := speedup(st, base)
 	switch {
 	case st.Sampling == nil || base.Sampling == nil:
 		return fmt.Sprintf("%.3f", sp)
@@ -49,80 +47,100 @@ func speedupCell(st, base core.Stats) string {
 	return fmt.Sprintf("%.3f±%.3f", sp, sp*math.Sqrt(rs*rs+rb*rb))
 }
 
-// sweep runs one configuration grid — cells[si][ci] for spec si and
-// machine configuration ci — through the runner pool, each spec's cells in
-// the matrix waves (runWaves): warm cells are recorded immediately, a
-// fully warm spec skips even building its program, and the cold remainder
-// runs as one stealable job per cell.
-// mkCfg must be pure: it is called once per cell on an arbitrary worker.
-func sweep(specs []workload.Spec, nCfg int, p Params, mkCfg func(spec workload.Spec, ci int) core.Config) ([][]core.Stats, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	ctx := uncancelled()
-	pool := runner.NewPool(p.Parallelism)
-	defer pool.Close()
-	out := make([][]core.Stats, len(specs))
-	g := pool.NewGroup()
-	for si, spec := range specs {
-		out[si] = make([]core.Stats, nCfg)
-		g.Go(func() error {
-			cells := make([]*Cell, nCfg)
-			for ci := range cells {
-				c, err := ConfigCell(spec, mkCfg(spec, ci), p)
-				if err != nil {
-					return err
-				}
-				c.out, cells[ci] = &out[si][ci], c
+// mpkiCell renders a table L1-I MPKI cell.
+func mpkiCell(st core.Stats) string { return fmt.Sprintf("%.1f", st.L1IMPKI()) }
+
+// sweep runs every machine on every spec and returns res[si][ci], the
+// stats of spec si on machine ci. Each spec's cells run in the matrix
+// waves (runWaves):
+// warm cells are recorded immediately, a fully warm spec skips even
+// building its program, and the cold remainder runs as one stealable job
+// per cell. ConfigCell stamps p onto every machine, so one machine list
+// may serve runs under different Params.
+func sweep(specs []workload.Spec, machines []core.Config, p Params) ([][]core.Stats, error) {
+	return eachSpec(specs, p, func(ctx context.Context, pool *runner.Pool, _ int, spec workload.Spec) ([]core.Stats, error) {
+		out := make([]core.Stats, len(machines))
+		cells := make([]*Cell, len(machines))
+		for ci, m := range machines {
+			c, err := ConfigCell(spec, m, p)
+			if err != nil {
+				return nil, err
 			}
-			_, err := runWaves(ctx, pool, &inputs{spec: spec}, cells, nil, nil)
-			return err
-		})
+			c.out, cells[ci] = &out[ci], c
+		}
+		_, err := runWaves(ctx, pool, &inputs{spec: spec}, cells, nil, nil)
+		return out, err
+	})
+}
+
+// fdpVariants returns n copies of the industry-standard machine, the i-th
+// changed by mod.
+func fdpVariants(n int, mod func(i int, c *core.Config)) []core.Config {
+	out := make([]core.Config, n)
+	for i := range out {
+		out[i] = core.DefaultConfig()
+		mod(i, &out[i])
 	}
-	if err := g.Wait(); err != nil {
-		return nil, err
+	return out
+}
+
+// speedupTable renders a sweep's results, one row per spec, as each
+// machine's speedup over machine 0 (column cols[ci] for machine ci), then
+// a geomean row.
+func speedupTable(title string, specs []workload.Spec, cols []string, res [][]core.Stats) *stats.Table {
+	t := stats.NewTable(title, append([]string{"workload"}, cols...)...)
+	geo := make([][]float64, len(cols))
+	for si, spec := range specs {
+		row := []string{spec.Name}
+		for ci, st := range res[si] {
+			geo[ci] = append(geo[ci], speedup(st, res[si][0]))
+			row = append(row, speedupCell(st, res[si][0]))
+		}
+		t.AddRow(row...)
 	}
-	return out, nil
+	gm := []string{"geomean"}
+	for _, g := range geo {
+		gm = append(gm, fmt.Sprintf("%.3f", stats.Geomean(g)))
+	}
+	t.AddRow(gm...)
+	return t
+}
+
+// ipcTable renders a sweep's results, one row per spec, as each machine's
+// IPC and one more metric, rendered by cell: columns <label>-ipc and
+// <label>-<metric> for machine ci, labelled labels[ci].
+func ipcTable(title string, specs []workload.Spec, labels []string, metric string, cell func(core.Stats) string, res [][]core.Stats) *stats.Table {
+	cols := []string{"workload"}
+	for _, l := range labels {
+		cols = append(cols, l+"-ipc", l+"-"+metric)
+	}
+	t := stats.NewTable(title, cols...)
+	for si, spec := range specs {
+		row := []string{spec.Name}
+		for _, st := range res[si] {
+			row = append(row, ipcCell(st), cell(st))
+		}
+		t.AddRow(row...)
+	}
+	return t
 }
 
 // AblationFTQDepth sweeps the FTQ depth between the paper's conservative
 // and industry-standard endpoints and beyond, reporting IPC speedup over
 // depth 2 for each workload.
 func AblationFTQDepth(specs []workload.Spec, depths []int, p Params) (*stats.Table, error) {
-	res, err := sweep(specs, len(depths), p, func(spec workload.Spec, ci int) core.Config {
-		c := core.DefaultConfig()
-		c.Name = fmt.Sprintf("ftq%d", depths[ci])
-		c.Frontend.FTQEntries = depths[ci]
-		return c
-	})
+	res, err := sweep(specs, fdpVariants(len(depths), func(i int, c *core.Config) {
+		c.Name = fmt.Sprintf("ftq%d", depths[i])
+		c.Frontend.FTQEntries = depths[i]
+	}), p)
 	if err != nil {
 		return nil, err
 	}
-	cols := []string{"workload"}
-	for _, d := range depths {
-		cols = append(cols, fmt.Sprintf("ftq=%d", d))
+	cols := make([]string, len(depths))
+	for i, d := range depths {
+		cols[i] = fmt.Sprintf("ftq=%d", d)
 	}
-	t := stats.NewTable("Ablation A1: IPC speedup vs FTQ depth (over depth 2)", cols...)
-	geo := make([][]float64, len(depths))
-	for si, spec := range specs {
-		base := res[si][0].IPC()
-		row := []string{spec.Name}
-		for di := range depths {
-			sp := 0.0
-			if base > 0 {
-				sp = res[si][di].IPC() / base
-			}
-			geo[di] = append(geo[di], sp)
-			row = append(row, speedupCell(res[si][di], res[si][0]))
-		}
-		t.AddRow(row...)
-	}
-	gm := []string{"geomean"}
-	for di := range depths {
-		gm = append(gm, fmt.Sprintf("%.3f", stats.Geomean(geo[di])))
-	}
-	t.AddRow(gm...)
-	return t, nil
+	return speedupTable("Ablation A1: IPC speedup vs FTQ depth (over depth 2)", specs, cols, res), nil
 }
 
 // AblationFanout sweeps AsmDB's fanout threshold on the industry-standard
@@ -130,107 +148,72 @@ func AblationFTQDepth(specs []workload.Spec, depths []int, p Params) (*stats.Tab
 // (paper §II-B2). Each workload profiles once, and only when a threshold
 // cell misses the cache; the missing cells then run as jobs.
 func AblationFanout(specs []workload.Spec, thresholds []float64, p Params) (*stats.Table, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	type point struct {
-		speedup string // rendered by speedupCell (carries ± when sampled)
-		bloat   float64
-	}
-	res := make([][]point, len(specs))
-	ctx := uncancelled()
-	pool := runner.NewPool(p.Parallelism)
-	defer pool.Close()
-	g := pool.NewGroup()
-	for si, spec := range specs {
-		res[si] = make([]point, len(thresholds))
-		g.Go(func() error {
-			in := &inputs{spec: spec}
-			base, err := ConfigCell(spec, core.DefaultConfig(), p)
+	rows, err := eachSpec(specs, p, func(ctx context.Context, pool *runner.Pool, _ int, spec workload.Spec) ([]string, error) {
+		in := &inputs{spec: spec}
+		base, err := ConfigCell(spec, core.DefaultConfig(), p)
+		if err != nil {
+			return nil, err
+		}
+		var baseSt core.Stats
+		base.out = &baseSt
+		cells := make([]*Cell, len(thresholds))
+		sts := make([]core.Stats, len(thresholds))
+		for ti, th := range thresholds {
+			opts := p.AsmDB
+			opts.FanoutThreshold = th
+			src := p.planKey(spec, opts, base.key.Config)
+			if cells[ti], err = newCell(spec, fmt.Sprintf("fanout%.2f", th), core.DefaultConfig(), progAsmdb, &src, p); err != nil {
+				return nil, err
+			}
+			cells[ti].out = &sts[ti]
+		}
+		// A threshold's plan is built per pass from a profile calibrated
+		// on the base cell, and never cached: only its cell is.
+		_, err = runWaves(ctx, pool, in, append([]*Cell{base}, cells...), nil, func(key planKey) (planEntry, error) {
+			graph, err := in.profile(ctx, key.ExecSeed, key.ProfileInstrs, func() (float64, error) { return baseSt.IPC(), nil })
 			if err != nil {
-				return err
+				return planEntry{}, err
 			}
-			var baseSt core.Stats
-			base.out = &baseSt
-			cells := make([]*Cell, len(thresholds))
-			sts := make([]core.Stats, len(thresholds))
-			for ti, th := range thresholds {
-				opts := p.AsmDB
-				opts.FanoutThreshold = th
-				src := p.planKey(spec, opts, base.key.Config)
-				if cells[ti], err = newCell(spec, fmt.Sprintf("fanout%.2f", th), core.DefaultConfig(), progAsmdb, &src, p); err != nil {
-					return err
-				}
-				cells[ti].out = &sts[ti]
-			}
-			// A threshold's plan is built per pass from a profile calibrated
-			// on the base cell, and never cached: only its cell is.
-			_, err = runWaves(ctx, pool, in, append([]*Cell{base}, cells...), nil, func(key planKey) (planEntry, error) {
-				graph, err := in.profile(ctx, key.ExecSeed, key.ProfileInstrs, func() (float64, error) { return baseSt.IPC(), nil })
-				if err != nil {
-					return planEntry{}, err
-				}
-				plan, err := asmdb.Build(graph, key.AsmDB)
-				return planEntry{Plan: plan}, err
-			})
-			if err != nil {
-				return err
-			}
-			for ti := range thresholds {
-				res[si][ti] = point{speedup: speedupCell(sts[ti], baseSt), bloat: 100 * sts[ti].DynamicBloat()}
-			}
-			return nil
+			plan, err := asmdb.Build(graph, key.AsmDB)
+			return planEntry{Plan: plan}, err
 		})
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
+		if err != nil {
+			return nil, err
+		}
+		row := []string{spec.Name}
+		for ti := range thresholds {
+			row = append(row, speedupCell(sts[ti], baseSt), fmt.Sprintf("%.1f", 100*sts[ti].DynamicBloat()))
+		}
+		return row, nil
+	})
 	cols := []string{"workload"}
 	for _, th := range thresholds {
 		cols = append(cols, fmt.Sprintf("fan=%.2f", th), fmt.Sprintf("bloat@%.2f%%", th))
 	}
 	t := stats.NewTable("Ablation A2: AsmDB fanout threshold on FDP-24 (speedup over FDP-24, dynamic bloat)", cols...)
-	for si, spec := range specs {
-		row := []string{spec.Name}
-		for ti := range thresholds {
-			row = append(row, res[si][ti].speedup, fmt.Sprintf("%.1f", res[si][ti].bloat))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return addRows(t, rows, err)
 }
 
 // AblationBTB compares the single-level BTB against the Ishii-style
 // two-level organization (small zero-penalty L1 backed by the full table
 // with a promotion bubble) on the industry front-end.
 func AblationBTB(specs []workload.Spec, l1Entries []int, p Params) (*stats.Table, error) {
-	res, err := sweep(specs, len(l1Entries), p, func(spec workload.Spec, ci int) core.Config {
-		c := core.DefaultConfig()
-		c.Frontend.BPU.L1BTBEntries = l1Entries[ci]
-		return c
-	})
+	res, err := sweep(specs, fdpVariants(len(l1Entries), func(i int, c *core.Config) {
+		c.Frontend.BPU.L1BTBEntries = l1Entries[i]
+	}), p)
 	if err != nil {
 		return nil, err
 	}
-	cols := []string{"workload"}
-	for _, e := range l1Entries {
-		label := "single"
+	labels := make([]string, len(l1Entries))
+	for i, e := range l1Entries {
+		labels[i] = "single"
 		if e > 0 {
-			label = fmt.Sprintf("l1=%d", e)
+			labels[i] = fmt.Sprintf("l1=%d", e)
 		}
-		cols = append(cols, label+"-ipc", label+"-bubbles/Ki")
 	}
-	t := stats.NewTable("Ablation A7: BTB organization on FDP-24", cols...)
-	for si, spec := range specs {
-		row := []string{spec.Name}
-		for ci := range l1Entries {
-			st := res[si][ci]
-			perKi := float64(st.Frontend.BTBL2FillBubbles) / float64(st.Instructions) * 1000
-			row = append(row, ipcCell(st), fmt.Sprintf("%.2f", perKi))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return ipcTable("Ablation A7: BTB organization on FDP-24", specs, labels, "bubbles/Ki", func(st core.Stats) string {
+		return fmt.Sprintf("%.2f", float64(st.Frontend.BTBL2FillBubbles)/float64(st.Instructions)*1000)
+	}, res), nil
 }
 
 // AblationWrongPath sweeps the wrong-path sequential-fetch depth on the
@@ -239,28 +222,17 @@ func AblationBTB(specs []workload.Spec, l1Entries []int, p Params) (*stats.Table
 // depths trade L1-I pollution and bandwidth against incidental next-line
 // coverage.
 func AblationWrongPath(specs []workload.Spec, depths []int, p Params) (*stats.Table, error) {
-	res, err := sweep(specs, len(depths), p, func(spec workload.Spec, ci int) core.Config {
-		c := core.DefaultConfig()
-		c.Frontend.WrongPathDepth = depths[ci]
-		return c
-	})
+	res, err := sweep(specs, fdpVariants(len(depths), func(i int, c *core.Config) {
+		c.Frontend.WrongPathDepth = depths[i]
+	}), p)
 	if err != nil {
 		return nil, err
 	}
-	cols := []string{"workload"}
-	for _, d := range depths {
-		cols = append(cols, fmt.Sprintf("wp=%d-ipc", d), fmt.Sprintf("wp=%d-mpki", d))
+	labels := make([]string, len(depths))
+	for i, d := range depths {
+		labels[i] = fmt.Sprintf("wp=%d", d)
 	}
-	t := stats.NewTable("Ablation A6: wrong-path sequential fetch depth on FDP-24", cols...)
-	for si, spec := range specs {
-		row := []string{spec.Name}
-		for ci := range depths {
-			st := res[si][ci]
-			row = append(row, ipcCell(st), fmt.Sprintf("%.1f", st.L1IMPKI()))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return ipcTable("Ablation A6: wrong-path sequential fetch depth on FDP-24", specs, labels, "mpki", mpkiCell, res), nil
 }
 
 // AblationReplacement sweeps the L1-I replacement policy on the
@@ -270,28 +242,17 @@ func AblationWrongPath(specs []workload.Spec, depths []int, p Params) (*stats.Ta
 // policy-sensitive.
 func AblationReplacement(specs []workload.Spec, p Params) (*stats.Table, error) {
 	policies := []cache.ReplKind{cache.ReplLRU, cache.ReplSRRIP, cache.ReplRandom}
-	res, err := sweep(specs, len(policies), p, func(spec workload.Spec, ci int) core.Config {
-		c := core.DefaultConfig()
-		c.Memory.L1I.Repl = policies[ci]
-		return c
-	})
+	res, err := sweep(specs, fdpVariants(len(policies), func(i int, c *core.Config) {
+		c.Memory.L1I.Repl = policies[i]
+	}), p)
 	if err != nil {
 		return nil, err
 	}
-	cols := []string{"workload"}
-	for _, pol := range policies {
-		cols = append(cols, pol.String()+"-ipc", pol.String()+"-mpki")
+	labels := make([]string, len(policies))
+	for i, pol := range policies {
+		labels[i] = pol.String()
 	}
-	t := stats.NewTable("Ablation A5: L1-I replacement policy on FDP-24", cols...)
-	for si, spec := range specs {
-		row := []string{spec.Name}
-		for ci := range policies {
-			st := res[si][ci]
-			row = append(row, ipcCell(st), fmt.Sprintf("%.1f", st.L1IMPKI()))
-		}
-		t.AddRow(row...)
-	}
-	return t, nil
+	return ipcTable("Ablation A5: L1-I replacement policy on FDP-24", specs, labels, "mpki", mpkiCell, res), nil
 }
 
 // AblationPredictor compares the tournament (bimodal+gshare) direction
@@ -300,11 +261,9 @@ func AblationReplacement(specs []workload.Spec, p Params) (*stats.Table, error) 
 // baseline — quantifying how sensitive the paper's FDP numbers are to
 // predictor quality.
 func AblationPredictor(specs []workload.Spec, p Params) (*stats.Table, error) {
-	res, err := sweep(specs, 2, p, func(spec workload.Spec, ci int) core.Config {
-		c := core.DefaultConfig()
-		c.Frontend.BPU.UseTAGE = ci == 1
-		return c
-	})
+	res, err := sweep(specs, fdpVariants(2, func(i int, c *core.Config) {
+		c.Frontend.BPU.UseTAGE = i == 1
+	}), p)
 	if err != nil {
 		return nil, err
 	}
@@ -314,11 +273,7 @@ func AblationPredictor(specs []workload.Spec, p Params) (*stats.Table, error) {
 	var ratios []float64
 	for si, spec := range specs {
 		tour, tage := res[si][0], res[si][1]
-		ratio := 0.0
-		if tour.IPC() > 0 {
-			ratio = tage.IPC() / tour.IPC()
-		}
-		ratios = append(ratios, ratio)
+		ratios = append(ratios, speedup(tage, tour))
 		t.AddRow(spec.Name,
 			ipcCell(tour),
 			ipcCell(tage),
@@ -337,36 +292,13 @@ func AblationFrontend(specs []workload.Spec, p Params) (*stats.Table, error) {
 	combos := []struct {
 		pfc, ghr bool
 	}{{false, false}, {true, false}, {false, true}, {true, true}}
-	res, err := sweep(specs, len(combos), p, func(spec workload.Spec, ci int) core.Config {
-		c := core.DefaultConfig()
-		c.Frontend.EnablePFC = combos[ci].pfc
-		c.Frontend.BPU.FilterGHR = combos[ci].ghr
-		return c
-	})
+	res, err := sweep(specs, fdpVariants(len(combos), func(i int, c *core.Config) {
+		c.Frontend.EnablePFC = combos[i].pfc
+		c.Frontend.BPU.FilterGHR = combos[i].ghr
+	}), p)
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable(
-		"Ablation A3: FDP refinements (IPC speedup over both disabled)",
-		"workload", "neither", "pfc-only", "ghr-filter-only", "both")
-	geo := make([][]float64, len(combos))
-	for si, spec := range specs {
-		base := res[si][0].IPC()
-		row := []string{spec.Name}
-		for ci := range combos {
-			sp := 0.0
-			if base > 0 {
-				sp = res[si][ci].IPC() / base
-			}
-			geo[ci] = append(geo[ci], sp)
-			row = append(row, speedupCell(res[si][ci], res[si][0]))
-		}
-		t.AddRow(row...)
-	}
-	gm := []string{"geomean"}
-	for ci := range combos {
-		gm = append(gm, fmt.Sprintf("%.3f", stats.Geomean(geo[ci])))
-	}
-	t.AddRow(gm...)
-	return t, nil
+	return speedupTable("Ablation A3: FDP refinements (IPC speedup over both disabled)",
+		specs, []string{"neither", "pfc-only", "ghr-filter-only", "both"}, res), nil
 }

@@ -8,13 +8,16 @@
 // decoding, and the I-TLB model. Every figure is then a projection of the
 // suite's matrices.
 //
-// Execution is decomposed into per-(workload, configuration) jobs on the
-// internal/runner work-stealing pool — so one slow workload's ten
-// configurations spread across idle workers instead of serializing — and
-// every simulation run is keyed into the runner's content-addressed cache
-// by (config fingerprint, workload spec, seed, budgets, plan provenance),
-// making warm re-runs near-instant. The cache is only sound because runs
-// are bit-deterministic; TestDeterminismAcrossParallelism guards that.
+// Every entry point over a list of workloads (the suite, the ablations and
+// the extensions) fans out through eachSpec: one internal/runner pool, one
+// task per workload, and results and errors in workload order. Each
+// workload's cells run as jobs of their own on that pool, so one slow
+// workload's configurations spread across idle workers instead of
+// serializing. Every simulation run is keyed into the runner's
+// content-addressed cache by (config fingerprint, workload spec, seed,
+// budgets, plan provenance), making warm re-runs near-instant. The cache
+// is only sound because runs are bit-deterministic;
+// TestRunSuiteDeterminismAcrossParallelism guards that.
 package experiment
 
 import (
@@ -42,9 +45,10 @@ type Params struct {
 	// ProfileInstrs is the AsmDB profiling stream length.
 	ProfileInstrs int64
 	// Parallelism bounds pool workers (<=0: GOMAXPROCS). Results are
-	// bit-identical at every setting; a goroutine joining a job group also
-	// executes that group's queued jobs, so effective concurrency can
-	// briefly exceed this bound by the number of concurrent waiters.
+	// bit-identical at every setting. A goroutine joining a job group also
+	// executes that group's queued jobs, and the goroutine that calls a
+	// suite or sweep joins its per-workload group: so a suite runs up to
+	// Parallelism+1 workloads at once (TestSuiteWorkloadsInFlight).
 	Parallelism int
 	// AsmDB tunes the software prefetcher.
 	AsmDB asmdb.Options
@@ -143,13 +147,16 @@ type Matrix struct {
 }
 
 // Speedup returns st's IPC normalized to the conservative baseline.
-func (m *Matrix) Speedup(st core.Stats) float64 {
-	// IPC is zero exactly when nothing was measured; test the integer
-	// counters it is derived from rather than the float.
-	if m.Cons.Cycles == 0 || m.Cons.Instructions == 0 {
+func (m *Matrix) Speedup(st core.Stats) float64 { return speedup(st, m.Cons) }
+
+// speedup returns st's IPC normalized to base's, or 0 when base measured
+// nothing. IPC is zero exactly then; the test is on the integer counters
+// it is derived from rather than the float.
+func speedup(st, base core.Stats) float64 {
+	if base.Cycles == 0 || base.Instructions == 0 {
 		return 0
 	}
-	return st.IPC() / m.Cons.IPC()
+	return st.IPC() / base.IPC()
 }
 
 // series is one row of the per-workload series table: the machine it
@@ -328,30 +335,39 @@ func RunSuite(specs []workload.Spec, p Params, progress func(string)) ([]*Matrix
 // jobProgress (optional) receives one line per completed
 // (workload, configuration) simulation, with elapsed time and ETA.
 func RunSuiteMonitor(specs []workload.Spec, p Params, progress, jobProgress func(string)) ([]*Matrix, error) {
+	pr := runner.NewProgress(jobProgress)
+	pr.AddTotal(int(numSeries) * len(specs))
+	return eachSpec(specs, p, func(ctx context.Context, pool *runner.Pool, i int, spec workload.Spec) (*Matrix, error) {
+		m, err := runMatrixPooled(ctx, pool, spec, i+1, p, pr)
+		if progress != nil {
+			if err != nil {
+				progress(fmt.Sprintf("[%2d/%d] %-18s FAILED: %v", i+1, len(specs), spec.Name, err))
+			} else {
+				progress(fmt.Sprintf("[%2d/%d] %-18s base=%.3f fdp=%.3f asmdb+fdp=%.3f mpki=%.1f",
+					i+1, len(specs), spec.Name, m.Cons.IPC(), m.Speedup(m.FDP), m.Speedup(m.AsmdbFDP), m.FDP.L1IMPKI()))
+			}
+		}
+		return m, err
+	})
+}
+
+// eachSpec is the one fan-out over workloads: it validates p, opens one
+// pool, and runs fn for each spec as one task, every spec's cells sharing
+// the pool. It returns the results in spec order. On failure it returns
+// the error of the first failed spec in spec order, not the first to fail
+// in time, naming the workload by its 1-based position.
+func eachSpec[T any](specs []workload.Spec, p Params, fn func(ctx context.Context, pool *runner.Pool, i int, spec workload.Spec) (T, error)) ([]T, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	pool := runner.NewPool(p.Parallelism)
 	defer pool.Close()
-	pr := runner.NewProgress(jobProgress)
-	pr.AddTotal(int(numSeries) * len(specs))
-
-	out := make([]*Matrix, len(specs))
+	out := make([]T, len(specs))
 	errs := make([]error, len(specs))
 	g := pool.NewGroup()
 	for i, spec := range specs {
-		i, spec := i, spec
 		g.Go(func() error {
-			m, err := runMatrixPooled(uncancelled(), pool, spec, i+1, p, pr)
-			out[i], errs[i] = m, err
-			if progress != nil {
-				if err != nil {
-					progress(fmt.Sprintf("[%2d/%d] %-18s FAILED: %v", i+1, len(specs), spec.Name, err))
-				} else {
-					progress(fmt.Sprintf("[%2d/%d] %-18s base=%.3f fdp=%.3f asmdb+fdp=%.3f mpki=%.1f",
-						i+1, len(specs), spec.Name, m.Cons.IPC(), m.Speedup(m.FDP), m.Speedup(m.AsmdbFDP), m.FDP.L1IMPKI()))
-				}
-			}
+			out[i], errs[i] = fn(uncancelled(), pool, i, spec)
 			return nil
 		})
 	}

@@ -3,8 +3,10 @@ package experiment
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
+	"frontsim/internal/obs"
 	"frontsim/internal/workload"
 )
 
@@ -128,6 +130,77 @@ func TestRunSuiteParallelMatchesOrder(t *testing.T) {
 	}
 	if len(lines) != 3 {
 		t.Fatalf("progress lines = %d", len(lines))
+	}
+}
+
+// TestEachSpecFirstErrorInSpecOrder pins eachSpec's error contract on a
+// sweep and on an extension: over [bad_a, good, bad_b], where a bad spec
+// cannot build its program, every run reports bad_a by its position,
+// whichever of the two failed first.
+func TestEachSpecFirstErrorInSpecOrder(t *testing.T) {
+	good := mustLookup(t, "public_srv_60")
+	badA, badB := good, good
+	badA.Name, badA.Funcs = "bad_a", 0
+	badB.Name, badB.Funcs = "bad_b", 0
+	specs := []workload.Spec{badA, good, badB}
+	p := confParams()[0].p
+	for _, run := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"A1", func() error { _, err := AblationFTQDepth(specs, []int{2, 24}, p); return err }},
+		{"X3", func() error { _, err := ExtensionISpy(specs, p); return err }},
+	} {
+		for i := 0; i < 20; i++ {
+			if err := run.fn(); err == nil || !strings.Contains(err.Error(), "workload 1 (bad_a)") {
+				t.Fatalf("%s, run %d: error %v, want one naming workload 1 (bad_a)", run.name, i, err)
+			}
+		}
+	}
+}
+
+// closeFuncSink is a per-run observer that discards what it observes and
+// calls itself when closed.
+type closeFuncSink func()
+
+func (closeFuncSink) Event(obs.Event)     {}
+func (closeFuncSink) Sample(obs.Sample)   {}
+func (closeFuncSink) SampleStride() int64 { return 4096 }
+func (f closeFuncSink) Close() error      { f(); return nil }
+
+// TestSuiteWorkloadsInFlight pins how many workloads a suite holds at
+// once. A join runs its own group's queued tasks, so besides the pool's
+// Parallelism workers the goroutine that calls RunSuite runs a whole
+// workload. Counted through ObsRun, the workloads with a live cell must
+// never exceed Parallelism+1: the suite's peak memory follows this bound.
+func TestSuiteWorkloadsInFlight(t *testing.T) {
+	specs := workload.All()[:6]
+	for _, par := range []int{1, 2} {
+		var mu sync.Mutex
+		live := map[string]int{} // live cells per workload
+		most := 0
+		p := confParams()[0].p
+		p.Parallelism = par
+		p.ObsRun = func(name, _ string) obs.Sink {
+			mu.Lock()
+			defer mu.Unlock()
+			live[name]++
+			most = max(most, len(live))
+			return closeFuncSink(func() {
+				mu.Lock()
+				defer mu.Unlock()
+				if live[name]--; live[name] == 0 {
+					delete(live, name)
+				}
+			})
+		}
+		if _, err := RunSuite(specs, p, nil); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("Parallelism %d: at most %d workloads with a live cell", par, most)
+		if most > par+1 {
+			t.Errorf("Parallelism %d: %d workloads had a live cell at once, want at most %d", par, most, par+1)
+		}
 	}
 }
 

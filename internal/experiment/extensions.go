@@ -14,28 +14,17 @@ import (
 	"frontsim/internal/workload"
 )
 
-// extension runs fn for each spec, the specs' cells sharing one pool, and
-// returns the results in spec order. X1–X3 always run exact: this is
-// where their Params.Sampling is cleared.
+// extension is eachSpec for X1–X3, which always run exact: fn gets p with
+// its Sampling cleared.
 func extension[T any](specs []workload.Spec, p Params, fn func(ctx context.Context, pool *runner.Pool, spec workload.Spec, p Params) (T, error)) ([]T, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	p.Sampling = core.SamplingConfig{}
-	pool := runner.NewPool(p.Parallelism)
-	defer pool.Close()
-	out := make([]T, len(specs))
-	g := pool.NewGroup()
-	for i, spec := range specs {
-		g.Go(func() (err error) {
-			out[i], err = fn(uncancelled(), pool, spec, p)
-			return err
-		})
-	}
-	return out, g.Wait()
+	exact := p
+	exact.Sampling = core.SamplingConfig{}
+	return eachSpec(specs, p, func(ctx context.Context, pool *runner.Pool, _ int, spec workload.Spec) (T, error) {
+		return fn(ctx, pool, spec, exact)
+	})
 }
 
-// addRows fills t with the rows extension computed.
+// addRows fills t with the rows eachSpec computed.
 func addRows(t *stats.Table, rows [][]string, err error) (*stats.Table, error) {
 	if err != nil {
 		return nil, err

@@ -36,6 +36,15 @@ func Mechanisms() []Mechanism {
 	return out
 }
 
+// mechanismMachines returns each mechanism's machine configuration.
+func mechanismMachines(mechs []Mechanism, p Params) []core.Config {
+	out := make([]core.Config, len(mechs))
+	for i, m := range mechs {
+		out[i] = m.Config(p)
+	}
+	return out
+}
+
 // AblationMechanism runs every mechanism over every workload and reports
 // the Scenario-1/2/3 head-stall decomposition next to IPC and speedup —
 // placing each prefetch mechanism in the paper's taxonomy: Scenario 1
@@ -44,7 +53,7 @@ func Mechanisms() []Mechanism {
 // stalling head ready either), as shares of measured cycles.
 func AblationMechanism(specs []workload.Spec, p Params) (*stats.Table, error) {
 	mechs := Mechanisms()
-	res, err := sweep(specs, len(mechs), p, func(_ workload.Spec, ci int) core.Config { return mechs[ci].Config(p) })
+	res, err := sweep(specs, mechanismMachines(mechs, p), p)
 	if err != nil {
 		return nil, err
 	}
@@ -54,14 +63,9 @@ func AblationMechanism(specs []workload.Spec, p Params) (*stats.Table, error) {
 		"scen1%", "scen2%", "scen3%", "empty%")
 	geo := make([][]float64, len(mechs))
 	for si, spec := range specs {
-		base := res[si][0].IPC()
 		for ci, m := range mechs {
 			st := res[si][ci]
-			sp := 0.0
-			if base > 0 {
-				sp = st.IPC() / base
-			}
-			geo[ci] = append(geo[ci], sp)
+			geo[ci] = append(geo[ci], speedup(st, res[si][0]))
 			share := func(n int64) string {
 				if st.FTQ.Cycles == 0 {
 					return "0.0"
@@ -71,7 +75,7 @@ func AblationMechanism(specs []workload.Spec, p Params) (*stats.Table, error) {
 			t.AddRow(spec.Name, m.Label,
 				ipcCell(st),
 				speedupCell(st, res[si][0]),
-				fmt.Sprintf("%.1f", st.L1IMPKI()),
+				mpkiCell(st),
 				share(st.FTQ.ShootThroughCycles),
 				share(st.FTQ.Scenario2Cycles),
 				share(st.FTQ.Scenario3Cycles),

@@ -25,16 +25,14 @@ func SamplingValidation(specs []workload.Spec, p Params) (*stats.Table, float64,
 		return nil, 0, fmt.Errorf("experiment: SamplingValidation needs p.Sampling enabled")
 	}
 	mechs := Mechanisms()
-	mk := func(p Params) func(workload.Spec, int) core.Config {
-		return func(_ workload.Spec, ci int) core.Config { return mechs[ci].Config(p) }
-	}
+	machines := mechanismMachines(mechs, p)
 	exact := p
 	exact.Sampling = core.SamplingConfig{}
-	ground, err := sweep(specs, len(mechs), exact, mk(exact))
+	ground, err := sweep(specs, machines, exact)
 	if err != nil {
 		return nil, 0, err
 	}
-	sampled, err := sweep(specs, len(mechs), p, mk(p))
+	sampled, err := sweep(specs, machines, p)
 	if err != nil {
 		return nil, 0, err
 	}
